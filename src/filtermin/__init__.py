@@ -12,7 +12,7 @@ from .encoding import (CnfFormula, FeasibilityReport, VarLayout,
                        extension_from_cover, write_lp)
 from .generate import GenParams, GenerationError, generate
 from .minimize import (Budget, IterationStat, METHOD_LAZY, METHOD_SAT,
-                       MinimizeReport, minimize, minimize_lazy, minimize_sat)
+                       MinimizeReport, minimize)
 from .oracle import CapExceeded, OracleResult, brute_minimal
 from .sat import SAT, UNKNOWN, UNSAT, CdclSolver, SolveOutcome, SolveStats
 from .formats import (STATS_HEADER, FltError, parse_dimacs, parse_flt, write_dimacs,

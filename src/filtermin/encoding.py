@@ -35,20 +35,6 @@ OUT2 = "out2"
 BAN_UNIT = "ban_unit"
 
 
-def normalize_clause(lits):
-    """Drop duplicate literals, preserving first occurrence; None for tautologies."""
-    seen = set()
-    out = []
-    for lit in lits:
-        if lit in seen:
-            continue
-        if -lit in seen:
-            return None
-        seen.add(lit)
-        out.append(lit)
-    return out
-
-
 class VarLayout:
     """Deterministic bijection between search variables and solver ids.
 

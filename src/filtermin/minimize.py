@@ -1,15 +1,18 @@
 """Anytime minimization: shrink a size bound with one incremental solver.
 
-Both methods build the constraint system once at bound k = |V|, then after
-every satisfying assignment ban the highest subset slot with unit clauses
-and re-solve, reusing everything the solver has learned.  An unsatisfiable
-step proves the last cover minimal; running out of budget still leaves the
-best cover found so far.
+One descent loop serves both methods.  It builds the constraint system
+once at bound k = |V|, then for each bound solves, decodes the model into
+a cover and checks the zip condition.  An accepted cover bans the highest
+subset slot with unit clauses and the loop re-solves, reusing everything
+the solver has learned.  An unsatisfiable step proves the last cover
+minimal; running out of budget still leaves the best cover found so far.
 
-The lazy variant withholds the children-containment ("zip") clauses and
-loads them in groups only when a proposed cover actually violates the zip
-condition, which keeps the loaded formula a fraction of the full one on
-filters with many observations.
+The methods differ only in what is loaded up front.  The eager `sat`
+method loads every clause, so a zip violation can only be an encoding
+bug.  The lazy `lazy-sat` method withholds the children-containment
+("zip") clauses and loads them in groups only when a proposed cover
+actually violates the zip condition, which keeps the loaded formula a
+fraction of the full one on filters with many observations.
 """
 from __future__ import annotations
 
@@ -104,136 +107,89 @@ def _better(best: Optional[Cover], cand: Cover) -> Cover:
     return best
 
 
-def _finish(method, flt, best, proven, iterations, obs_loaded=0, pairs_loaded=0):
+def _load_zip_groups(solver, layout, cover, violation, loaded_obs,
+                     loaded_pairs) -> bool:
+    """Load the zip groups behind one violation; False if none were new.
+
+    A violated (subset, observation) pair loads the routing clauses for
+    that observation plus the containment clauses for the subset's member
+    states.  Groups are sized to the initial bound and persist across bans;
+    root simplification inside the solver prunes the parts that mention
+    banned slots.
+    """
+    i, y = violation
+    progress = False
+    if y not in loaded_obs:
+        loaded_obs.add(y)
+        progress = True
+        for clause in zip2_clauses_for_obs(layout, y):
+            solver.add_clause(clause)
+    for v in sorted(cover.subsets[i]):
+        if layout.child(v, y) is None or (v, y) in loaded_pairs:
+            continue
+        loaded_pairs.add((v, y))
+        progress = True
+        for clause in zip1_clauses_for_state(layout, v, y):
+            solver.add_clause(clause)
+    return progress
+
+
+def minimize(flt: Filter, method: str = METHOD_SAT,
+             budget: Optional[Budget] = None, seed: int = 0) -> MinimizeReport:
+    """Descend the size bound from |V| until UNSAT, k = 0 or the budget ends.
+
+    Each bound runs solve, decode and zip check; a violation reloads zip
+    groups and solves again, an accepted cover bans slot k.  Every reload
+    round strictly grows the loaded set, so the inner loop terminates.
+    Under `sat` every group is loaded up front and a violation is an
+    encoding bug.
+    """
+    if method not in (METHOD_SAT, METHOD_LAZY):
+        raise ValueError(f"unknown method {method!r}")
+    lazy = method == METHOD_LAZY
+    if budget is None:
+        budget = Budget(None)
+    layout = build_layout(flt, flt.n_states)
+    solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed)
+    for clause in build_cnf(layout, lazy=lazy).clauses:
+        solver.add_clause(clause)
+    budget.start()
+    loaded_obs = set()
+    loaded_pairs = set()        # (state, obs) with containment clauses in
+    best = None
+    iterations = []
+    k = layout.k
+    while k >= 1:
+        t0 = time.monotonic()
+        while True:
+            out = solver.solve(budget.remaining())
+            if out.status != SAT:
+                break
+            cover = cover_from_model(layout, out.model)
+            violation = find_zip_violation(cover)
+            if violation is None:
+                best = _better(best, cover)
+                break
+            if not (lazy and _load_zip_groups(solver, layout, cover, violation,
+                                              loaded_obs, loaded_pairs)):
+                raise RuntimeError(
+                    "zip violation with all groups loaded; encoding bug")
+        iterations.append(IterationStat(
+            k=k, outcome=out.status, elapsed_s=time.monotonic() - t0,
+            clauses_in_solver=solver.n_problem,
+            best_size=best.size if best else None))
+        if out.status != SAT:
+            proven = out.status == UNSAT
+            break
+        for unit in ban_size_units(layout, k):
+            solver.add_clause(unit)
+        k -= 1
+    else:
+        proven = True
     if best is None:
         best = identity_cover(flt)
         proven = flt.n_states == 1
     return MinimizeReport(
         method=method, best_cover=best, best_filter=induced_filter(best),
         proven_minimal=proven, iterations=tuple(iterations),
-        zip_obs_loaded=obs_loaded, zip_pairs_loaded=pairs_loaded)
-
-
-def minimize_sat(flt: Filter, budget: Optional[Budget] = None,
-                 seed: int = 0) -> MinimizeReport:
-    """Eager method: the full constraint system up front, then ban and shrink."""
-    if budget is None:
-        budget = Budget(None)
-    layout = build_layout(flt, flt.n_states)
-    solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed)
-    for clause in build_cnf(layout, lazy=False).clauses:
-        solver.add_clause(clause)
-    budget.start()
-    best = None
-    proven = False
-    iterations = []
-    k = layout.k
-    while k >= 1:
-        t0 = time.monotonic()
-        out = solver.solve(budget.remaining())
-        elapsed = time.monotonic() - t0
-        if out.status == SAT:
-            best = _better(best, cover_from_model(layout, out.model))
-            iterations.append(IterationStat(
-                k=k, outcome=SAT, elapsed_s=elapsed,
-                clauses_in_solver=solver.n_problem, best_size=best.size))
-            for unit in ban_size_units(layout, k):
-                solver.add_clause(unit)
-            k -= 1
-            if k == 0:
-                proven = True
-        else:
-            if out.status == UNSAT:
-                proven = True
-            iterations.append(IterationStat(
-                k=k, outcome=out.status, elapsed_s=elapsed,
-                clauses_in_solver=solver.n_problem,
-                best_size=best.size if best else None))
-            break
-    return _finish(METHOD_SAT, flt, best, proven, iterations)
-
-
-def minimize_lazy(flt: Filter, budget: Optional[Budget] = None,
-                  seed: int = 0) -> MinimizeReport:
-    """Lazy method: zip clauses enter the solver only on observed violations.
-
-    Loaded groups are sized to the initial bound and persist across bans;
-    root simplification inside the solver prunes the parts that mention
-    banned slots.  Each violated (subset, observation) pair loads the
-    routing clauses for that observation plus the containment clauses for
-    the subset's member states, so every reload round strictly grows the
-    loaded set and the inner loop terminates.
-    """
-    if budget is None:
-        budget = Budget(None)
-    layout = build_layout(flt, flt.n_states)
-    solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed)
-    for clause in build_cnf(layout, lazy=True).clauses:
-        solver.add_clause(clause)
-    budget.start()
-    loaded_obs = set()
-    loaded_pairs = set()        # (state, obs) with containment clauses in
-    best = None
-    proven = False
-    iterations = []
-    k = layout.k
-    while k >= 1:
-        k_elapsed = 0.0
-        t0 = time.monotonic()
-        stop = False
-        while True:
-            out = solver.solve(budget.remaining())
-            if out.status != SAT:
-                if out.status == UNSAT:
-                    proven = True
-                k_elapsed += time.monotonic() - t0
-                iterations.append(IterationStat(
-                    k=k, outcome=out.status, elapsed_s=k_elapsed,
-                    clauses_in_solver=solver.n_problem,
-                    best_size=best.size if best else None))
-                stop = True
-                break
-            cover = cover_from_model(layout, out.model)
-            violation = find_zip_violation(cover)
-            if violation is None:
-                best = _better(best, cover)
-                k_elapsed += time.monotonic() - t0
-                iterations.append(IterationStat(
-                    k=k, outcome=SAT, elapsed_s=k_elapsed,
-                    clauses_in_solver=solver.n_problem, best_size=best.size))
-                for unit in ban_size_units(layout, k):
-                    solver.add_clause(unit)
-                break
-            i, y = violation
-            progress = False
-            if y not in loaded_obs:
-                loaded_obs.add(y)
-                progress = True
-                for clause in zip2_clauses_for_obs(layout, y):
-                    solver.add_clause(clause)
-            for v in sorted(cover.subsets[i]):
-                if layout.child(v, y) is None or (v, y) in loaded_pairs:
-                    continue
-                loaded_pairs.add((v, y))
-                progress = True
-                for clause in zip1_clauses_for_state(layout, v, y):
-                    solver.add_clause(clause)
-            if not progress:
-                raise RuntimeError(
-                    "zip violation with all groups loaded; encoding bug")
-        if stop:
-            break
-        k -= 1
-        if k == 0:
-            proven = True
-    return _finish(METHOD_LAZY, flt, best, proven, iterations,
-                   obs_loaded=len(loaded_obs), pairs_loaded=len(loaded_pairs))
-
-
-def minimize(flt: Filter, method: str = METHOD_SAT,
-             budget: Optional[Budget] = None, seed: int = 0) -> MinimizeReport:
-    if method == METHOD_SAT:
-        return minimize_sat(flt, budget=budget, seed=seed)
-    if method == METHOD_LAZY:
-        return minimize_lazy(flt, budget=budget, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
+        zip_obs_loaded=len(loaded_obs), zip_pairs_loaded=len(loaded_pairs))

@@ -18,7 +18,6 @@ reported.  Callers read them with .get(var, False).
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -51,10 +50,7 @@ class SolveOutcome:
 
 
 class CdclSolver:
-    def __init__(self, num_vars: int = 0, seed: Optional[int] = None,
-                 archive: bool = False):
-        if seed is None:
-            seed = int(os.environ.get("FILTERMIN_SAT_SEED", "0"))
+    def __init__(self, num_vars: int = 0, seed: int = 0):
         self.seed = seed
         self._cap = 0
         self.num_vars = 0
@@ -76,7 +72,6 @@ class CdclSolver:
         self.learnts = []
         self.max_learnts = 30000.0
         self.n_problem = 0
-        self._archive = [] if archive else None
         self.stats = SolveStats()
         if num_vars:
             self._ensure(num_vars)
@@ -121,8 +116,6 @@ class CdclSolver:
         literals stripped.  A clause that simplifies to a unit is assigned
         at the root immediately and propagated on the next solve.
         """
-        if self._archive is not None:
-            self._archive.append(tuple(lits))
         if self.unsat:
             return False
         seen = set()
@@ -402,17 +395,3 @@ class CdclSolver:
                 stats.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._assign(lit, None)
-
-    # -- inspection ----------------------------------------------------------
-
-    def export_dimacs(self) -> str:
-        """DIMACS text of every clause ever passed to add_clause, verbatim.
-
-        Only available when constructed with archive=True.
-        """
-        if self._archive is None:
-            raise RuntimeError("solver was not constructed with archive=True")
-        lines = [f"p cnf {self.num_vars} {len(self._archive)}"]
-        for clause in self._archive:
-            lines.append(" ".join(map(str, clause)) + " 0")
-        return "\n".join(lines) + "\n"

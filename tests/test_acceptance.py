@@ -18,8 +18,7 @@ from filtermin import (BENCH_HEADER, Budget, Cover, GenParams,
                        build_cnf, build_layout, common_outputs,
                        extension_from_cover, eval_ilp, eval_inp, generate,
                        identity_cover, is_deterministic, is_zipped, minimize,
-                       minimize_lazy, minimize_sat, output_simulates,
-                       run_bench)
+                       output_simulates, run_bench)
 from filtermin.rng import SplitMix64, derive
 
 from test_sat import model_satisfies, php_clauses, random_3cnf
@@ -63,7 +62,7 @@ def _small_corpus(target=210):
 @pytest.fixture(scope="module")
 def small_runs():
     t0 = time.monotonic()
-    runs = [(flt, brute_minimal(flt), minimize_sat(flt))
+    runs = [(flt, brute_minimal(flt), minimize(flt, method=METHOD_SAT))
             for flt in _small_corpus()]
     return runs, time.monotonic() - t0
 
@@ -80,8 +79,10 @@ def medium_runs():
             except GenerationError:
                 continue            # cramped alphabets cannot be realized
             runs.append((flt,
-                         minimize_sat(flt, budget=Budget(120.0)),
-                         minimize_lazy(flt, budget=Budget(120.0))))
+                         minimize(flt, method=METHOD_SAT,
+                                  budget=Budget(120.0)),
+                         minimize(flt, method=METHOD_LAZY,
+                                  budget=Budget(120.0))))
     return runs
 
 

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (Budget, FltError, STATS_HEADER, build_layout,
-                       canonical_key, minimize_sat, parse_dimacs, parse_flt,
-                       write_dimacs, write_dot, write_flt, write_stats_csv,
-                       write_varmap)
+from filtermin import (Budget, FltError, METHOD_SAT, STATS_HEADER,
+                       build_layout, canonical_key, minimize, parse_dimacs,
+                       parse_flt, write_dimacs, write_dot, write_flt,
+                       write_stats_csv, write_varmap)
 
 from conftest import small_filters
 
@@ -130,7 +130,7 @@ def test_varmap_covers_cnf_vars_without_q(twocolor):
 # -- csv and dot ---------------------------------------------------------------
 
 def test_stats_csv_shape(twocolor):
-    report = minimize_sat(twocolor)
+    report = minimize(twocolor, method=METHOD_SAT)
     lines = write_stats_csv(report).splitlines()
     assert lines[0] == STATS_HEADER
     assert len(lines) == 1 + len(report.iterations)
@@ -141,7 +141,7 @@ def test_stats_csv_shape(twocolor):
 
 
 def test_stats_csv_empty_best_on_zero_budget(twocolor):
-    report = minimize_sat(twocolor, budget=Budget(0.0))
+    report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.0))
     rows = write_stats_csv(report).splitlines()[1:]
     assert all(row.endswith(",") for row in rows)
 

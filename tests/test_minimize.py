@@ -1,9 +1,12 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, is_deterministic,
-                       is_zipped, minimize, minimize_lazy, minimize_sat,
+from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, CnfFormula,
+                       is_deterministic, is_zipped, minimize,
                        output_simulates)
+from filtermin.encoding import ZIP1
 from filtermin.filters import Filter
 
 from conftest import small_filters
@@ -18,21 +21,21 @@ def check_report(report, flt):
 
 
 def test_chain3_minimizes_to_one_state(chain3):
-    for fn in (minimize_sat, minimize_lazy):
-        report = fn(chain3)
+    for method in (METHOD_SAT, METHOD_LAZY):
+        report = minimize(chain3, method=method)
         assert report.best_size == 1 and report.proven_minimal
         check_report(report, chain3)
 
 
 def test_twocolor_minimizes_to_three(twocolor):
-    for fn in (minimize_sat, minimize_lazy):
-        report = fn(twocolor)
+    for method in (METHOD_SAT, METHOD_LAZY):
+        report = minimize(twocolor, method=method)
         assert report.best_size == 3 and report.proven_minimal
         check_report(report, twocolor)
 
 
 def test_iteration_shape(twocolor):
-    report = minimize_sat(twocolor)
+    report = minimize(twocolor, method=METHOD_SAT)
     ks = [it.k for it in report.iterations]
     assert ks[0] == twocolor.n_states
     assert all(a > b for a, b in zip(ks, ks[1:]))
@@ -45,7 +48,7 @@ def test_iteration_shape(twocolor):
 
 
 def test_zero_budget_falls_back_to_identity(twocolor):
-    report = minimize_sat(twocolor, budget=Budget(0.0))
+    report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.0))
     assert report.best_size == twocolor.n_states
     assert not report.proven_minimal
     check_report(report, twocolor)
@@ -54,12 +57,12 @@ def test_zero_budget_falls_back_to_identity(twocolor):
 
 def test_zero_budget_single_state_is_still_proven():
     one = Filter.build(1, [0], [(0, "a", 0)], [["g"]])
-    report = minimize_lazy(one, budget=Budget(0.0))
+    report = minimize(one, method=METHOD_LAZY, budget=Budget(0.0))
     assert report.best_size == 1 and report.proven_minimal
 
 
 def test_lazy_counters_within_bounds(twocolor):
-    report = minimize_lazy(twocolor)
+    report = minimize(twocolor, method=METHOD_LAZY)
     n_obs = len(twocolor.observations)
     assert 0 <= report.zip_obs_loaded <= n_obs
     live = {(v, y) for v in range(twocolor.n_states)
@@ -70,7 +73,7 @@ def test_lazy_counters_within_bounds(twocolor):
 
 
 def test_eager_report_has_zero_lazy_counters(twocolor):
-    report = minimize_sat(twocolor)
+    report = minimize(twocolor, method=METHOD_SAT)
     assert report.zip_obs_loaded == 0 and report.zip_pairs_loaded == 0
     assert report.method == METHOD_SAT
 
@@ -82,14 +85,33 @@ def test_dispatcher(chain3):
         minimize(chain3, method="dpll")
 
 
+def test_eager_zip_violation_is_an_encoding_bug(twocolor, monkeypatch):
+    # without ZIP1 the eager formula admits unzipped covers; the loop must
+    # check every accepted cover rather than trust the encoding
+    mod = importlib.import_module("filtermin.minimize")
+    full = mod.build_cnf
+
+    def without_zip1(layout, lazy=False):
+        cnf = full(layout, lazy=lazy)
+        kept = CnfFormula(num_vars=cnf.num_vars)
+        for clause, tag in zip(cnf.clauses, cnf.tags):
+            if tag[0] != ZIP1:
+                kept.add(clause, tag)
+        return kept
+
+    monkeypatch.setattr(mod, "build_cnf", without_zip1)
+    with pytest.raises(RuntimeError, match="encoding bug"):
+        minimize(twocolor, method=METHOD_SAT)
+
+
 def test_rejects_nondeterministic_input():
     bad = Filter.build(2, [0, 1], [(0, "a", 1)], [["g"], ["g"]])
     with pytest.raises(ValueError):
-        minimize_sat(bad)
+        minimize(bad, method=METHOD_SAT)
 
 
 def test_summary_lines_mention_both_sizes(twocolor):
-    report = minimize_lazy(twocolor)
+    report = minimize(twocolor, method=METHOD_LAZY)
     text = "\n".join(report.summary_lines())
     assert "4" in text and "3" in text and "lazy-sat" in text
 
@@ -97,8 +119,8 @@ def test_summary_lines_mention_both_sizes(twocolor):
 @given(small_filters())
 @settings(max_examples=15, deadline=None)
 def test_methods_agree_on_small_filters(flt):
-    a = minimize_sat(flt)
-    b = minimize_lazy(flt)
+    a = minimize(flt, method=METHOD_SAT)
+    b = minimize(flt, method=METHOD_LAZY)
     assert a.proven_minimal and b.proven_minimal
     assert a.best_size == b.best_size
     check_report(a, flt)

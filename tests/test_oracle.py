@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (CapExceeded, brute_minimal, is_zipped, minimize_sat,
-                       output_simulates)
+from filtermin import (CapExceeded, METHOD_SAT, brute_minimal, is_zipped,
+                       minimize, output_simulates)
 from filtermin.filters import Filter, induced_filter
 
 from conftest import small_filters
@@ -42,6 +42,6 @@ def test_cap_equal_to_answer_is_fine(twocolor):
 @settings(max_examples=20, deadline=None)
 def test_oracle_agrees_with_sat_search(flt):
     res = brute_minimal(flt)
-    report = minimize_sat(flt)
+    report = minimize(flt, method=METHOD_SAT)
     assert report.proven_minimal
     assert res.minimal_size == report.best_size

@@ -2,10 +2,9 @@
 
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtermin import SAT, UNKNOWN, UNSAT, CdclSolver, parse_dimacs
+from filtermin import SAT, UNKNOWN, UNSAT, CdclSolver
 from filtermin.rng import SplitMix64
 
 
@@ -33,8 +32,8 @@ def model_satisfies(clauses, model):
                for c in clauses)
 
 
-def fresh(clauses, **kw):
-    s = CdclSolver(seed=7, **kw)
+def fresh(clauses):
+    s = CdclSolver(seed=7)
     for c in clauses:
         s.add_clause(c)
     return s
@@ -158,22 +157,6 @@ def test_restarts_fire_on_hard_instance():
     assert out.status == UNSAT
     assert out.stats.restarts >= 1
     assert out.stats.conflicts > 100
-
-
-def test_dimacs_archive_round_trip(tmp_path):
-    cls = [[1, -2], [2, 3], [-1, -3], [1, 2, 3]]
-    s = CdclSolver(archive=True)
-    for c in cls:
-        s.add_clause(c)
-    text = s.export_dimacs()
-    n_vars, parsed = parse_dimacs(text)
-    assert n_vars == 3 and parsed == cls
-
-
-def test_export_without_archive_refuses():
-    s = fresh([[1]])
-    with pytest.raises(RuntimeError, match="archive"):
-        s.export_dimacs()
 
 
 def test_model_assignment_respects_polarity():
