@@ -2,10 +2,14 @@
 
 One descent loop serves both methods.  It builds the constraint system
 once at bound k = |V|, then for each bound solves, decodes the model into
-a cover and checks the zip condition.  An accepted cover bans the highest
-subset slot with unit clauses and the loop re-solves, reusing everything
-the solver has learned.  An unsatisfiable step proves the last cover
-minimal; running out of budget still leaves the best cover found so far.
+a cover and checks the zip condition.  An accepted cover of size s bans
+every slot from s up to k with unit clauses, and the loop re-solves at
+k = s - 1, reusing everything the solver has learned.  This jump is sound
+because every clause schema is symmetric under slot permutation: any
+cover smaller than s fits in slots 1..s-1.  So every accepted cover is
+smaller than the one before it.  An unsatisfiable step proves the last
+cover minimal; running out of budget still leaves the best cover found
+so far.
 
 The methods differ only in what is loaded up front.  The eager `sat`
 method loads every clause, so a zip violation can only be an encoding
@@ -62,7 +66,11 @@ class Budget:
 
 @dataclass(frozen=True)
 class IterationStat:
-    """Outcome of one size bound k (lazy reload rounds are aggregated)."""
+    """Outcome of one size bound k (lazy reload rounds are aggregated).
+
+    Bounds decrease from row to row but may skip values: after a cover of
+    size s the next row is at k = s - 1.
+    """
 
     k: int
     outcome: str
@@ -101,12 +109,6 @@ class MinimizeReport:
         return rows
 
 
-def _better(best: Optional[Cover], cand: Cover) -> Cover:
-    if best is None or cand.size < best.size:
-        return cand
-    return best
-
-
 def _load_zip_groups(solver, layout, cover, violation, loaded_obs,
                      loaded_pairs) -> bool:
     """Load the zip groups behind one violation; False if none were new.
@@ -139,7 +141,8 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
     """Descend the size bound from |V| until UNSAT, k = 0 or the budget ends.
 
     Each bound runs solve, decode and zip check; a violation reloads zip
-    groups and solves again, an accepted cover bans slot k.  Every reload
+    groups and solves again, an accepted cover of size s bans every slot
+    from s up to k and the descent continues at k = s - 1.  Every reload
     round strictly grows the loaded set, so the inner loop terminates.
     Under `sat` every group is loaded up front and a violation is an
     encoding bug.
@@ -168,7 +171,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
             cover = cover_from_model(layout, out.model)
             violation = find_zip_violation(cover)
             if violation is None:
-                best = _better(best, cover)
+                best = cover
                 break
             if not (lazy and _load_zip_groups(solver, layout, cover, violation,
                                               loaded_obs, loaded_pairs)):
@@ -181,9 +184,10 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         if out.status != SAT:
             proven = out.status == UNSAT
             break
-        for unit in ban_size_units(layout, k):
-            solver.add_clause(unit)
-        k -= 1
+        for slot in range(best.size, k + 1):
+            for unit in ban_size_units(layout, slot):
+                solver.add_clause(unit)
+        k = best.size - 1
     else:
         proven = True
     if best is None:

@@ -12,17 +12,31 @@ int is the negated literal.  Literal-indexed tables exploit Python's
 negative indexing; a table of capacity c has length 2c + 1 so table[lit]
 works for -c <= lit <= c.
 
-Models are partial: only variables that appear in some stored clause are
-reported.  Callers read them with .get(var, False).
+A variable becomes active when a stored clause first mentions it, and
+only then does it cost anything beyond its slots in the tables: that is
+when it gets its two watch lists and its tie-break jitter.  So on a
+formula loaded lazily into a large layout, set-up, branching and models
+scale with the loaded formula, not with `num_vars`.
+
+Branching keeps one invariant: every active, unassigned variable has an
+entry in the VSIDS heap carrying its current activity.  Variables
+activated since the last solve enter the heap when the next solve starts,
+backtracking pushes every variable it unassigns, and bumps push the new
+activity.  Older entries go stale and are skipped when popped, so a
+drained heap means every active variable is assigned.
+
+Models are partial: only active variables are reported.  Callers read
+them with .get(var, False).
 """
 from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .rng import derive
+from .rng import _GAMMA, mix64
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -61,6 +75,8 @@ class CdclSolver:
         self.activity = [0.0]
         self.saved_phase = [False]
         self.active = bytearray(1)
+        self.active_vars = array("i")   # in activation order
+        self._heaped = 0         # active_vars[:_heaped] have entered the heap
         self._seen = bytearray(1)
         self.trail = []
         self.trail_lim = []
@@ -73,6 +89,9 @@ class CdclSolver:
         self.max_learnts = 30000.0
         self.n_problem = 0
         self.stats = SolveStats()
+        # jitter(v) == (derive(seed, v) % 997) * 1e-12, the first mix hoisted
+        self._jitter_base = mix64(seed ^ _GAMMA)
+        self._rescale_marks = []    # num_vars at each rescale
         if num_vars:
             self._ensure(num_vars)
 
@@ -99,13 +118,21 @@ class CdclSolver:
             self.active.extend(bytes(grow))
             self._seen.extend(bytes(grow))
             self._cap = cap
-        for v in range(self.num_vars + 1, n + 1):
-            # tiny seeded jitter so equal-activity ties break by seed
-            self.activity[v] = (derive(self.seed, v) % 997) * 1e-12
-            if self.watches[v] is None:
-                self.watches[v] = []
-                self.watches[-v] = []
         self.num_vars = n
+
+    def _activate(self, v):
+        """First mention of v in a stored clause: watch lists and jitter."""
+        self.active[v] = 1
+        self.active_vars.append(v)
+        self.watches[v] = []
+        self.watches[-v] = []
+        # tiny seeded jitter so equal-activity ties break by seed, scaled
+        # by every rescale since v entered the tables
+        act = (mix64(self._jitter_base ^ ((v + 1) * _GAMMA)) % 997) * 1e-12
+        for mark in self._rescale_marks:
+            if v <= mark:
+                act *= _RESCALE_FACTOR
+        self.activity[v] = act
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False once the formula is known unsat.
@@ -142,7 +169,9 @@ class CdclSolver:
             return False
         active = self.active
         for lit in out:
-            active[abs(lit)] = 1
+            v = abs(lit)
+            if not active[v]:
+                self._activate(v)
         self.n_problem += 1
         if len(out) == 1:
             self._assign(out[0], None)
@@ -168,10 +197,15 @@ class CdclSolver:
         bound = self.trail_lim[target_level]
         values = self.values
         reason = self.reason
+        activity = self.activity
+        heap = self.heap
+        push = heapq.heappush
         for lit in self.trail[bound:]:
             values[lit] = 0
             values[-lit] = 0
-            reason[abs(lit)] = None
+            v = lit if lit > 0 else -lit
+            reason[v] = None
+            push(heap, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
@@ -228,13 +262,14 @@ class CdclSolver:
             heapq.heappush(self.heap, (-act, v))
 
     def _rescale(self):
-        for v in range(1, self.num_vars + 1):
-            self.activity[v] *= _RESCALE_FACTOR
+        activity = self.activity
+        for v in self.active_vars:
+            activity[v] *= _RESCALE_FACTOR
         self.var_inc *= _RESCALE_FACTOR
+        self._rescale_marks.append(self.num_vars)
         values = self.values
-        self.heap = [(-self.activity[v], v)
-                     for v in range(1, self.num_vars + 1)
-                     if self.active[v] and values[v] == 0]
+        self.heap = [(-activity[v], v) for v in self.active_vars
+                     if values[v] == 0]
         heapq.heapify(self.heap)
 
     def _analyze(self, confl):
@@ -296,15 +331,22 @@ class CdclSolver:
             # stale entries carry an out-of-date activity
             if values[v] == 0 and -neg_act == activity[v]:
                 return v if self.saved_phase[v] else -v
-        entries = [(-activity[v], v)
-                   for v in range(1, self.num_vars + 1)
-                   if self.active[v] and values[v] == 0]
-        if not entries:
-            return None
-        heapq.heapify(entries)
-        self.heap = entries
-        _, v = heapq.heappop(entries)
-        return v if self.saved_phase[v] else -v
+        return None
+
+    def _heap_new_vars(self):
+        """Give the variables activated since the last solve heap entries."""
+        values = self.values
+        activity = self.activity
+        new = [(-activity[v], v) for v in self.active_vars[self._heaped:]
+               if values[v] == 0]
+        self._heaped = len(self.active_vars)
+        if len(new) > len(self.heap):
+            new += self.heap
+            heapq.heapify(new)
+            self.heap = new
+        else:
+            for entry in new:
+                heapq.heappush(self.heap, entry)
 
     # -- learned clause deletion ----------------------------------------------
 
@@ -325,10 +367,11 @@ class CdclSolver:
         if removed:
             dead = set(map(id, removed))
             watches = self.watches
-            for s in range(len(watches)):
-                ws = watches[s]
-                if ws:
-                    watches[s] = [c for c in ws if id(c) not in dead]
+            for v in self.active_vars:
+                for lit in (v, -v):
+                    ws = watches[lit]
+                    if ws:
+                        watches[lit] = [c for c in ws if id(c) not in dead]
             self.learnts = kept
             self.stats.deleted += len(removed)
         self.max_learnts *= 1.3
@@ -350,6 +393,7 @@ class CdclSolver:
             if time_budget_s <= 0:
                 return SolveOutcome(UNKNOWN, None, stats)
             deadline = time.monotonic() + time_budget_s
+        self._heap_new_vars()
         restart_limit = 100.0
         conflicts_at_restart = 0
         while True:
@@ -387,9 +431,7 @@ class CdclSolver:
                 lit = self._pick_branch()
                 if lit is None:
                     values = self.values
-                    model = {v: values[v] == 1
-                             for v in range(1, self.num_vars + 1)
-                             if self.active[v]}
+                    model = {v: values[v] == 1 for v in self.active_vars}
                     self._backtrack(0)
                     return SolveOutcome(SAT, model, stats)
                 stats.decisions += 1

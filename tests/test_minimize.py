@@ -34,16 +34,27 @@ def test_twocolor_minimizes_to_three(twocolor):
         check_report(report, twocolor)
 
 
-def test_iteration_shape(twocolor):
-    report = minimize(twocolor, method=METHOD_SAT)
+@pytest.mark.parametrize("method", [METHOD_SAT, METHOD_LAZY])
+@pytest.mark.parametrize("name", ["chain3", "twocolor"])
+def test_iteration_shape(name, method, request):
+    flt = request.getfixturevalue(name)
+    report = minimize(flt, method=method)
     ks = [it.k for it in report.iterations]
-    assert ks[0] == twocolor.n_states
+    assert ks[0] == flt.n_states
     assert all(a > b for a, b in zip(ks, ks[1:]))
     bests = [it.best_size for it in report.iterations if it.best_size]
     assert all(a >= b for a, b in zip(bests, bests[1:]))
-    # proof comes from either an unsat step or running k down to zero
+    # jump descent: a sat step at best b is followed by the bound b - 1
+    for it, after in zip(report.iterations, report.iterations[1:]):
+        if it.outcome == "sat":
+            assert after.k == it.best_size - 1
+    # proof comes from either an unsat step at best - 1 or a sat step at
+    # best 1, after which k = 0 needs no query
     last = report.iterations[-1]
-    assert last.outcome == "unsat" or last.k == report.best_size - 1
+    if last.outcome == "unsat":
+        assert last.k == report.best_size - 1
+    else:
+        assert last.outcome == "sat" and report.best_size == 1
     assert report.final_clause_count == last.clauses_in_solver
 
 

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (CapExceeded, METHOD_SAT, brute_minimal, is_zipped,
-                       minimize, output_simulates)
+from filtermin import (CapExceeded, METHOD_LAZY, METHOD_SAT, brute_minimal,
+                       is_zipped, minimize, output_simulates)
 from filtermin.filters import Filter, induced_filter
 
 from conftest import small_filters
@@ -38,10 +38,11 @@ def test_cap_equal_to_answer_is_fine(twocolor):
     assert brute_minimal(twocolor, cap=3).minimal_size == 3
 
 
-@given(small_filters())
+@pytest.mark.parametrize("method", [METHOD_SAT, METHOD_LAZY])
+@given(flt=small_filters())
 @settings(max_examples=20, deadline=None)
-def test_oracle_agrees_with_sat_search(flt):
+def test_oracle_agrees_with_sat_search(method, flt):
     res = brute_minimal(flt)
-    report = minimize(flt, method=METHOD_SAT)
+    report = minimize(flt, method=method)
     assert report.proven_minimal
     assert res.minimal_size == report.best_size

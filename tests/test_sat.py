@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from filtermin import SAT, UNKNOWN, UNSAT, CdclSolver
-from filtermin.rng import SplitMix64
+from filtermin.rng import SplitMix64, derive
 
 
 def php_clauses(pigeons, holes):
@@ -163,3 +163,27 @@ def test_model_assignment_respects_polarity():
     out = fresh([[1], [-2], [1, 2, -3]]).solve()
     assert out.model[1] is True
     assert out.model[2] is False
+
+
+def test_per_variable_work_follows_the_loaded_formula():
+    s = CdclSolver(num_vars=100_000, seed=5)
+    for c in ([3, 40, -7], [-3, 99_999], [7, -40, 12], [-99_999, 40, 12],
+              [12]):
+        s.add_clause(c)
+    out = s.solve()
+    assert out.status == SAT and out.stats.conflicts == 0
+    active = {3, 7, 12, 40, 99_999}
+    assert set(out.model) == active
+    assert {v for v in range(1, s.num_vars + 1) if s.active[v]} == active
+    # heap invariant: every active unassigned variable has a current entry
+    entries = set(s.heap)
+    unassigned = {v for v in active if s.values[v] == 0}
+    assert unassigned == active - {12}
+    for v in unassigned:
+        assert (-s.activity[v], v) in entries
+    # no conflict bumped anything: active variables hold just their jitter
+    for v in active:
+        assert s.activity[v] == (derive(5, v) % 997) * 1e-12
+    for v in set(range(1, s.num_vars + 1)) - active:
+        assert s.activity[v] == 0.0
+        assert s.watches[v] is None and s.watches[-v] is None
