@@ -20,10 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from filtermin import (Budget, GenParams, METHOD_LAZY, METHOD_SAT,  # noqa: E402
                        generate, minimize)
+from filtermin.bench import LARGE_SHAPE  # noqa: E402
 from filtermin.rng import derive  # noqa: E402
-
-SHAPE = dict(layers=20, width=5, self_loops=10, back_edges=10,
-             n_outputs=5, outputs_per_state=1, n_observations=50)
 
 CSV_HEADER = ("instance,seed,n_states,method,best_size,proven,"
               "elapsed_s,final_clause_count,zip_obs_loaded,zip_pairs_loaded")
@@ -40,7 +38,7 @@ def main():
     rows = [CSV_HEADER]
     for i in range(args.instances):
         seed = derive(args.seed, i)
-        flt = generate(GenParams(seed=seed, **SHAPE))
+        flt = generate(GenParams(seed=seed, **LARGE_SHAPE))
         print(f"instance {i}: {flt.n_states} states, "
               f"{sum(len(o) for o in flt.transitions.values())} edges")
         results = {}

@@ -23,6 +23,13 @@ BENCH_HEADER = ("suite,layers,width,self_loops,back_edges,outputs,"
 
 SUITES = ("obs-sweep", "out-sweep", "large")
 
+# 13 states; the sweeps vary n_observations or n_outputs around it
+MEDIUM_SHAPE = dict(layers=4, width=3, self_loops=2, back_edges=2,
+                    n_outputs=5, outputs_per_state=2, n_observations=6)
+# 101 states over a 50-token alphabet
+LARGE_SHAPE = dict(layers=20, width=5, self_loops=10, back_edges=10,
+                   n_outputs=5, outputs_per_state=1, n_observations=50)
+
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -37,23 +44,14 @@ class BenchCase:
 def suite_cases(suite: str, repeats: int, seed: int,
                 timeout_ms: Optional[int], zero_timing: bool):
     """Expand a suite name into the ordered list of cases to run."""
-    shapes = []
     if suite == "obs-sweep":
         # n_observations=2 cannot generate at width 3: the root always has
         # three distinctly labelled out-edges, so the sweep starts at 3
-        for n_obs in range(3, 11):
-            shapes.append(dict(layers=4, width=3, self_loops=2, back_edges=2,
-                               n_outputs=5, outputs_per_state=2,
-                               n_observations=n_obs))
+        shapes = [dict(MEDIUM_SHAPE, n_observations=n) for n in range(3, 11)]
     elif suite == "out-sweep":
-        for n_out in range(2, 9):
-            shapes.append(dict(layers=4, width=3, self_loops=2, back_edges=2,
-                               n_outputs=n_out, outputs_per_state=2,
-                               n_observations=6))
+        shapes = [dict(MEDIUM_SHAPE, n_outputs=n) for n in range(2, 9)]
     elif suite == "large":
-        shapes.append(dict(layers=20, width=5, self_loops=10, back_edges=10,
-                           n_outputs=5, outputs_per_state=1,
-                           n_observations=50))
+        shapes = [LARGE_SHAPE]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     cases = []

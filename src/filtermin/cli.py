@@ -33,6 +33,13 @@ def _emit(text: str, path: Optional[str]):
             fh.write(text)
 
 
+def milliseconds(text: str) -> int:
+    ms = int(text)
+    if ms < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {ms}")
+    return ms
+
+
 def _load_deterministic(path: str):
     """Parse, insist on determinism, drop unreachable states with a warning."""
     flt = parse_flt(_read(path))
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input .flt file")
     p.add_argument("--method", choices=(METHOD_SAT, METHOD_LAZY),
                    default=METHOD_SAT)
-    p.add_argument("--timeout-ms", type=int, default=None)
+    p.add_argument("--timeout-ms", type=milliseconds, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output .flt path (default stdout)")
     p.add_argument("--stats", default=None, help="per-iteration CSV path")
@@ -178,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--csv", default=None, help="CSV output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout-ms", type=int, default=None)
+    p.add_argument("--timeout-ms", type=milliseconds, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-timing", action="store_true",
                    help="write zeros for elapsed columns")

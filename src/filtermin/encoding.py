@@ -20,19 +20,10 @@ dropped and constant literals never appear.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .filters import (Cover, Filter, children_of_set, common_outputs,
                       is_deterministic, reachable_states)
-
-Clause = list  # of signed variable ids
-
-VALID_COVER = "valid_cover"
-ZIP1 = "zip1"
-ZIP2 = "zip2"
-OUT1 = "out1"
-OUT2 = "out2"
-BAN_UNIT = "ban_unit"
 
 
 class VarLayout:
@@ -150,28 +141,18 @@ def build_layout(flt: Filter, k: int) -> VarLayout:
 
 @dataclass
 class CnfFormula:
-    """Clause list plus a parallel schema tag per clause."""
+    """A CNF formula over the CNF variables of one layout.
+
+    `clauses` are lists of signed variable ids, none above `num_vars`.
+    Which schema emitted a clause is not recorded: `build_cnf` documents
+    the order, and the schema functions below regenerate any part of it.
+    """
 
     num_vars: int
-    clauses: list = field(default_factory=list)
-    tags: list = field(default_factory=list)
-
-    def add(self, clause, tag):
-        self.clauses.append(clause)
-        self.tags.append(tag)
-
-    def extend(self, clauses, tag):
-        for c in clauses:
-            self.add(c, tag)
+    clauses: list
 
     def __len__(self):
         return len(self.clauses)
-
-    def counts_by_schema(self):
-        out = {}
-        for tag in self.tags:
-            out[tag[0]] = out.get(tag[0], 0) + 1
-        return out
 
 
 def valid_cover_clauses(layout: VarLayout, lazy: bool):
@@ -229,17 +210,21 @@ def out2_clauses(layout: VarLayout):
 
 
 def build_cnf(layout: VarLayout, lazy: bool = False) -> CnfFormula:
-    """Render the full CNF (or the lazy base with zip constraints withheld)."""
-    f = CnfFormula(num_vars=layout.num_cnf_vars)
-    f.extend(valid_cover_clauses(layout, lazy), (VALID_COVER,))
+    """Render the full CNF, or the lazy base with the zip clauses withheld.
+
+    Clauses come schema by schema: valid cover, then (eager only) ZIP1 per
+    live edge in `layout.live_edges` order and ZIP2 per observation in
+    `layout.obs` order, then OUT1 and OUT2.
+    """
+    clauses = valid_cover_clauses(layout, lazy)
     if not lazy:
         for v, y in layout.live_edges:
-            f.extend(zip1_clauses_for_state(layout, v, y), (ZIP1, v, y))
+            clauses += zip1_clauses_for_state(layout, v, y)
         for y in layout.obs:
-            f.extend(zip2_clauses_for_obs(layout, y), (ZIP2, y))
-    f.extend(out1_clauses(layout), (OUT1,))
-    f.extend(out2_clauses(layout), (OUT2,))
-    return f
+            clauses += zip2_clauses_for_obs(layout, y)
+    clauses += out1_clauses(layout)
+    clauses += out2_clauses(layout)
+    return CnfFormula(layout.num_cnf_vars, clauses)
 
 
 def ban_size_units(layout: VarLayout, k_banned: int):
@@ -399,39 +384,38 @@ def eval_inp(layout: VarLayout, asg) -> FeasibilityReport:
                              uncovered_reachable=_uncovered(layout, asg))
 
 
+# LP row-name prefix -> family, in report order
+_LP_FAMILIES = {"NESubset": "nesubset", "Sym": "sym",
+                "ValidCover": "valid_cover", "Zip1": "zip1", "Zip2": "zip2",
+                "Out1": "out1", "Out2": "out2"}
+
+
 def eval_ilp(layout: VarLayout, asg) -> FeasibilityReport:
-    """Evaluate the linear rows (the LP-file rendering) on a full assignment."""
-    k, n = layout.k, layout.n
-    r = lambda i, v: int(asg.get(layout.r_index(i, v), False))
-    a = lambda i, j, y: int(asg.get(layout.a_index(i, j, y), False))
-    b = lambda i, o: int(asg.get(layout.b_index(i, o), False))
-    q = lambda i: int(asg.get(layout.q_index(i), False))
-    fam = {}
-    fam["nesubset"] = all(r(i, v) <= q(i)
-                          for i in range(1, k + 1) for v in range(n))
-    fam["sym"] = all(q(i) <= q(i - 1) for i in range(2, k + 1))
-    v0 = next(iter(layout.filter.initial))
-    fam["valid_cover"] = sum(r(j, v0) for j in range(1, k + 1)) >= 1
-    zip1 = True
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for v, y in layout.live_edges:
-                child = layout.child(v, y)
-                if a(i, j, y) + r(i, v) + 1 - r(j, child) > 2:
-                    zip1 = False
-                    break
-            if not zip1:
-                break
-        if not zip1:
-            break
-    fam["zip1"] = zip1
-    fam["zip2"] = all(sum(a(i, j, y) for j in range(1, k + 1)) >= 1
-                      for i in range(1, k + 1) for y in layout.obs)
-    fam["out1"] = all((1 - b(i, o)) + (1 - r(i, v)) + layout.p_table(o, v) >= 1
-                      for i in range(1, k + 1) for (v, o) in layout.zero_outputs)
-    fam["out2"] = all(sum(b(i, o) for o in layout.cols) >= 1
-                      for i in range(1, k + 1))
-    objective = sum(q(i) for i in range(1, k + 1))
+    """Evaluate the rows of `write_lp(layout)`, read back from its text.
+
+    The verdict is thus about the exported file, not a second copy of its
+    rows.  Every term has coefficient +1 or -1; variables absent from `asg`
+    read as 0.  A family holds when all its rows do, and trivially when it
+    has none (Sym at k = 1).
+    """
+    value = {"_".join(map(str, layout.decode(var))): int(asg.get(var, False))
+             for var in range(1, layout.num_vars + 1)}
+
+    def lhs(terms):
+        return sum(-value[t[1:]] if t[0] == "-" else value[t]
+                   for t in terms.replace("- ", "-").split() if t != "+")
+
+    fam = dict.fromkeys(_LP_FAMILIES.values(), True)
+    objective = 0
+    for line in write_lp(layout).splitlines():
+        name, colon, expr = line.strip().partition(": ")
+        if name == "obj":
+            objective = lhs(expr)
+        elif colon:              # a row; headers and Binary entries have none
+            terms, sense, rhs = expr.rsplit(" ", 2)
+            total, rhs = lhs(terms), int(rhs)
+            if (total > rhs) if sense == "<=" else (total < rhs):
+                fam[_LP_FAMILIES[name.split("_")[0]]] = False
     return FeasibilityReport(families=fam, objective=objective,
                              uncovered_reachable=_uncovered(layout, asg))
 

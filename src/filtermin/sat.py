@@ -138,32 +138,38 @@ class CdclSolver:
         """Add a problem clause; returns False once the formula is known unsat.
 
         Must be called with the solver at decision level 0 (it always is
-        between `solve` calls).  The clause is deduplicated, then simplified
-        against root assignments: satisfied clauses are dropped, false
-        literals stripped.  A clause that simplifies to a unit is assigned
-        at the root immediately and propagated on the next solve.
+        between `solve` calls).  One pass deduplicates, drops a tautology
+        and reads root values; unless it was a tautology the tables grow to
+        the largest variable, a clause satisfied at the root is dropped and
+        false literals are stripped, the rest kept in order.  A clause that
+        simplifies to a unit is assigned at the root immediately and
+        propagated on the next solve.
         """
         if self.unsat:
             return False
+        values = self.values
+        cap = self._cap
+        top = self.num_vars
+        satisfied = False
         seen = set()
-        clause = []
+        out = []
         for lit in lits:
             if lit in seen:
                 continue
             if -lit in seen:
                 return True          # tautology
             seen.add(lit)
-            clause.append(lit)
-        if clause:
-            self._ensure(max(abs(l) for l in clause))
-        values = self.values
-        out = []
-        for lit in clause:
-            val = values[lit]
-            if val == 1:
-                return True          # already satisfied at root
+            v = lit if lit > 0 else -lit
+            if v > top:
+                top = v
+            val = values[lit] if v <= cap else 0    # no slot yet: unassigned
             if val == 0:
                 out.append(lit)
+            elif val == 1:
+                satisfied = True     # dropped below, unless a tautology
+        self._ensure(top)
+        if satisfied:
+            return True
         if not out:
             self.unsat = True
             return False

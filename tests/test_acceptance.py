@@ -19,6 +19,7 @@ from filtermin import (BENCH_HEADER, Budget, Cover, GenParams,
                        extension_from_cover, eval_ilp, eval_inp, generate,
                        identity_cover, is_deterministic, is_zipped, minimize,
                        output_simulates, run_bench)
+from filtermin.bench import LARGE_SHAPE, MEDIUM_SHAPE
 from filtermin.rng import SplitMix64, derive
 
 from test_sat import model_satisfies, php_clauses, random_3cnf
@@ -27,11 +28,6 @@ from test_sat import model_satisfies, php_clauses, random_3cnf
 SMALL_BOUND = 6
 SMALL_SHAPES = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1),
                 (1, 2), (2, 2), (1, 3), (1, 5)]
-
-MEDIUM_SHAPE = dict(layers=4, width=3, self_loops=2, back_edges=2,
-                    n_outputs=5, outputs_per_state=2)
-LARGE_SHAPE = dict(layers=20, width=5, self_loops=10, back_edges=10,
-                   n_outputs=5, outputs_per_state=1, n_observations=50)
 
 
 def _small_corpus(target=210):
@@ -74,8 +70,8 @@ def medium_runs():
         for j in range(7):
             try:
                 flt = generate(GenParams(
-                    n_observations=n_obs, seed=derive(0xACC2, n_obs, j),
-                    **MEDIUM_SHAPE))
+                    seed=derive(0xACC2, n_obs, j),
+                    **dict(MEDIUM_SHAPE, n_observations=n_obs)))
             except GenerationError:
                 continue            # cramped alphabets cannot be realized
             runs.append((flt,

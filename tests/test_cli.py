@@ -158,6 +158,12 @@ def test_exit_codes_for_usage_errors(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "minimize", "x.flt", "--method", "magic")[0] == 2
+    # rejected while the arguments are read, before the input is opened
+    code, _, err = run(capsys, "minimize", "x.flt", "--timeout-ms", "-1")
+    assert code == 2 and "--timeout-ms" in err
+    code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
+                         "--timeout-ms", "-5")
+    assert code == 2 and "--timeout-ms" in err and out == ""
     bad = tmp_path / "bad.flt"
     bad.write_text("states 1\ninitial 0\nout 0 g\nbogus directive\n")
     code, _, err = run(capsys, "minimize", str(bad))

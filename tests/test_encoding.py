@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 from filtermin import (Cover, assignment_satisfies, ban_size_units, build_cnf,
                        build_layout, common_outputs, cover_from_model,
                        eval_ilp, eval_inp, extension_from_cover, write_lp)
-from filtermin.encoding import OUT1, OUT2, VALID_COVER, ZIP1, ZIP2
+from filtermin.encoding import (out1_clauses, out2_clauses,
+                                valid_cover_clauses, zip1_clauses_for_state,
+                                zip2_clauses_for_obs)
 
 from conftest import covers_for, small_filters
 
@@ -98,32 +100,41 @@ def test_chain3_clause_counts(chain3):
 
 
 def test_twocolor_k2_clause_counts_by_schema(twocolor):
-    cnf = build_cnf(build_layout(twocolor, 2))
-    assert len(cnf) == 35
-    assert len(cnf.tags) == 35
-    assert cnf.counts_by_schema() == {
-        VALID_COVER: 1, ZIP1: 20, ZIP2: 4, OUT1: 8, OUT2: 2}
+    lay = build_layout(twocolor, 2)
+    assert len(build_cnf(lay)) == 35
+    assert len(valid_cover_clauses(lay, lazy=False)) == 1
+    assert sum(len(zip1_clauses_for_state(lay, v, y))
+               for v, y in lay.live_edges) == 20
+    assert sum(len(zip2_clauses_for_obs(lay, y)) for y in lay.obs) == 4
+    assert len(out1_clauses(lay)) == 8
+    assert len(out2_clauses(lay)) == 2
 
 
 def test_eager_clause_order(twocolor):
-    cnf = build_cnf(build_layout(twocolor, 2))
-    assert cnf.tags[0] == (VALID_COVER,)
+    lay = build_layout(twocolor, 2)
+    zip1 = [zip1_clauses_for_state(lay, v, y) for v, y in lay.live_edges]
+    zip2 = [zip2_clauses_for_obs(lay, y) for y in lay.obs]
+    expected = valid_cover_clauses(lay, lazy=False)
+    for block in zip1 + zip2:
+        expected += block
+    expected += out1_clauses(lay) + out2_clauses(lay)
+    assert build_cnf(lay).clauses == expected
     # zip1 blocks are grouped per live edge, (state, obs) major
-    zip1_tags = [t for t in cnf.tags if t[0] == ZIP1]
-    assert zip1_tags[:4] == [(ZIP1, 0, "a")] * 4
-    assert zip1_tags[4:8] == [(ZIP1, 0, "b")] * 4
-    assert [t for t in cnf.tags if t[0] == ZIP2] == [
-        (ZIP2, "a"), (ZIP2, "a"), (ZIP2, "b"), (ZIP2, "b")]
+    assert lay.live_edges[:2] == ((0, "a"), (0, "b"))
+    assert [len(block) for block in zip1[:2]] == [4, 4]
+    assert lay.obs == ("a", "b")
+    assert [len(block) for block in zip2] == [2, 2]
 
 
 def test_lazy_base_has_per_state_cover_clauses(twocolor):
     lay = build_layout(twocolor, 2)
     lazy = build_cnf(lay, lazy=True)
-    cover_clauses = [c for c, t in zip(lazy.clauses, lazy.tags)
-                     if t == (VALID_COVER,)]
+    cover_clauses = valid_cover_clauses(lay, lazy=True)
     assert len(cover_clauses) == twocolor.n_states
     assert cover_clauses[0] == [lay.r_index(1, 0), lay.r_index(2, 0)]
-    assert not any(t[0] in (ZIP1, ZIP2) for t in lazy.tags)
+    # no zip clause in the lazy base
+    assert lazy.clauses == (cover_clauses + out1_clauses(lay)
+                            + out2_clauses(lay))
 
 
 def test_self_loop_zip1_contains_tautology(chain3):

@@ -1,12 +1,8 @@
-import importlib
-
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, CnfFormula,
-                       is_deterministic, is_zipped, minimize,
-                       output_simulates)
-from filtermin.encoding import ZIP1
+from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, is_deterministic,
+                       is_zipped, minimize, output_simulates)
 from filtermin.filters import Filter
 
 from conftest import small_filters
@@ -99,18 +95,8 @@ def test_dispatcher(chain3):
 def test_eager_zip_violation_is_an_encoding_bug(twocolor, monkeypatch):
     # without ZIP1 the eager formula admits unzipped covers; the loop must
     # check every accepted cover rather than trust the encoding
-    mod = importlib.import_module("filtermin.minimize")
-    full = mod.build_cnf
-
-    def without_zip1(layout, lazy=False):
-        cnf = full(layout, lazy=lazy)
-        kept = CnfFormula(num_vars=cnf.num_vars)
-        for clause, tag in zip(cnf.clauses, cnf.tags):
-            if tag[0] != ZIP1:
-                kept.add(clause, tag)
-        return kept
-
-    monkeypatch.setattr(mod, "build_cnf", without_zip1)
+    monkeypatch.setattr("filtermin.encoding.zip1_clauses_for_state",
+                        lambda layout, v, y: [])
     with pytest.raises(RuntimeError, match="encoding bug"):
         minimize(twocolor, method=METHOD_SAT)
 

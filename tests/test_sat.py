@@ -92,6 +92,10 @@ def test_empty_clause_is_unsat():
 def test_conflicting_units_unsat():
     s = fresh([[4], [-4]])
     assert s.solve().status == UNSAT
+    # a clause whose only literal, repeated, is false at the root
+    s = fresh([[-4]])
+    assert s.add_clause([4, 4]) is False
+    assert s.unsat and s.solve().status == UNSAT
 
 
 def test_tautologies_and_duplicates_normalized():
@@ -103,6 +107,15 @@ def test_tautologies_and_duplicates_normalized():
     out = s.solve()
     assert out.status == SAT
     assert 1 not in out.model        # never mentioned by a live clause
+    # a repeated literal inside a long clause is stored once, in order
+    s.add_clause([4, 5, 6, 7, 8, 9, 5, 10, 11, 4])
+    assert s.watches[4] == [[4, 5, 6, 7, 8, 9, 10, 11]]
+    # a tautology with one side false at the root is dropped, not unsat
+    s.add_clause([-12])
+    n_problem = s.n_problem
+    assert s.add_clause([12, 13, -12]) is True
+    assert s.n_problem == n_problem and not s.unsat
+    assert s.solve().status == SAT
 
 
 def test_root_simplification_tracks_problem_count():
@@ -124,6 +137,14 @@ def test_partial_model_mentions_active_vars_only():
     assert out.status == SAT
     assert set(out.model) <= {2, 10}
     assert 9 not in out.model
+    # the tables grow to the largest variable a clause mentions
+    s = CdclSolver(num_vars=3)
+    s.add_clause([2, 9, -1])
+    assert s.num_vars == 9
+    s.add_clause([20, -20])          # a tautology leaves the tables alone
+    assert s.num_vars == 9
+    out = s.solve()
+    assert out.status == SAT and model_satisfies([[2, 9, -1]], out.model)
 
 
 def test_fixed_seed_reruns_identical():
