@@ -40,6 +40,13 @@ def milliseconds(text: str) -> int:
     return ms
 
 
+def size_bound(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
+
+
 def _load_deterministic(path: str):
     """Parse, insist on determinism, drop unreachable states with a warning."""
     flt = parse_flt(_read(path))
@@ -171,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export constraint renderings")
     p.add_argument("input")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=size_bound, default=None,
                    help="size bound (default: state count)")
     p.add_argument("--dimacs", default=None, help="CNF output path")
     p.add_argument("--varmap", default=None, help="variable map output path")

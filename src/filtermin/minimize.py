@@ -9,7 +9,8 @@ because every clause schema is symmetric under slot permutation: any
 cover smaller than s fits in slots 1..s-1.  So every accepted cover is
 smaller than the one before it.  An unsatisfiable step proves the last
 cover minimal; running out of budget still leaves the best cover found
-so far.
+so far.  The budget covers the whole call, formula build and solver load
+included.
 
 The methods differ only in what is loaded up front.  The eager `sat`
 method loads every clause, so a zip violation can only be an encoding
@@ -36,10 +37,12 @@ METHOD_LAZY = "lazy-sat"
 
 
 class Budget:
-    """Wall-clock allowance for the solving phase of a minimize run.
+    """Wall-clock allowance for a whole minimize run.
 
-    Construction does not start the clock; `start` does, so formula
-    building stays outside the budget.  A None allowance never expires.
+    Construction does not start the clock; `start` does, and `minimize`
+    calls it first, so formula building and solver loading count against
+    the allowance.  The build itself is not interrupted.  A None allowance
+    never expires.
     """
 
     def __init__(self, seconds: Optional[float] = None):
@@ -57,11 +60,6 @@ class Budget:
         if self._deadline is None:
             return None
         return self._deadline - time.monotonic()
-
-    @property
-    def expired(self) -> bool:
-        rem = self.remaining()
-        return rem is not None and rem <= 0
 
 
 @dataclass(frozen=True)
@@ -145,18 +143,19 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
     from s up to k and the descent continues at k = s - 1.  Every reload
     round strictly grows the loaded set, so the inner loop terminates.
     Under `sat` every group is loaded up front and a violation is an
-    encoding bug.
+    encoding bug.  The budget starts before the build; if the build and
+    load use it up, the first solve answers unknown at once.
     """
     if method not in (METHOD_SAT, METHOD_LAZY):
         raise ValueError(f"unknown method {method!r}")
     lazy = method == METHOD_LAZY
     if budget is None:
         budget = Budget(None)
+    budget.start()
     layout = build_layout(flt, flt.n_states)
     solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed)
     for clause in build_cnf(layout, lazy=lazy).clauses:
         solver.add_clause(clause)
-    budget.start()
     loaded_obs = set()
     loaded_pairs = set()        # (state, obs) with containment clauses in
     best = None

@@ -76,12 +76,3 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
             out.append(pool[i])
         return out
-
-    def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
-
-    def split(self) -> "SplitMix64":
-        """Fork an independent child stream; both streams stay deterministic."""
-        return SplitMix64(self.next_u64())

@@ -14,9 +14,10 @@ works for -c <= lit <= c.
 
 A variable becomes active when a stored clause first mentions it, and
 only then does it cost anything beyond its slots in the tables: that is
-when it gets its two watch lists and its tie-break jitter.  So on a
-formula loaded lazily into a large layout, set-up, branching and models
-scale with the loaded formula, not with `num_vars`.
+when it gets its two watch lists and its tie-break jitter.  The watch
+lists are the record of activity: watches[v] is None exactly while v is
+inactive.  So on a formula loaded lazily into a large layout, set-up,
+branching and models scale with the loaded formula, not with `num_vars`.
 
 Branching keeps one invariant: every active, unassigned variable has an
 entry in the VSIDS heap carrying its current activity.  Variables
@@ -65,7 +66,6 @@ class SolveOutcome:
 
 class CdclSolver:
     def __init__(self, num_vars: int = 0, seed: int = 0):
-        self.seed = seed
         self._cap = 0
         self.num_vars = 0
         self.values = [0]        # lit-indexed: 1 true, -1 false, 0 unassigned
@@ -74,10 +74,8 @@ class CdclSolver:
         self.reason = [None]
         self.activity = [0.0]
         self.saved_phase = [False]
-        self.active = bytearray(1)
         self.active_vars = array("i")   # in activation order
         self._heaped = 0         # active_vars[:_heaped] have entered the heap
-        self._seen = bytearray(1)
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -91,7 +89,7 @@ class CdclSolver:
         self.stats = SolveStats()
         # jitter(v) == (derive(seed, v) % 997) * 1e-12, the first mix hoisted
         self._jitter_base = mix64(seed ^ _GAMMA)
-        self._rescale_marks = []    # num_vars at each rescale
+        self._rescales = 0
         if num_vars:
             self._ensure(num_vars)
 
@@ -115,42 +113,41 @@ class CdclSolver:
             self.reason.extend([None] * grow)
             self.activity.extend([0.0] * grow)
             self.saved_phase.extend([False] * grow)
-            self.active.extend(bytes(grow))
-            self._seen.extend(bytes(grow))
             self._cap = cap
         self.num_vars = n
 
     def _activate(self, v):
-        """First mention of v in a stored clause: watch lists and jitter."""
-        self.active[v] = 1
+        """First mention of v in a stored clause: watch lists and jitter.
+
+        The jitter, a tiny seeded activity that breaks equal-activity ties
+        by seed, is scaled by every rescale so far, one factor at a time
+        as `_rescale` scales the active variables: a single power of the
+        factor rounds differently once values reach the subnormal range.
+        """
         self.active_vars.append(v)
         self.watches[v] = []
         self.watches[-v] = []
-        # tiny seeded jitter so equal-activity ties break by seed, scaled
-        # by every rescale since v entered the tables
         act = (mix64(self._jitter_base ^ ((v + 1) * _GAMMA)) % 997) * 1e-12
-        for mark in self._rescale_marks:
-            if v <= mark:
-                act *= _RESCALE_FACTOR
+        for _ in range(self._rescales):
+            act *= _RESCALE_FACTOR
         self.activity[v] = act
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False once the formula is known unsat.
 
         Must be called with the solver at decision level 0 (it always is
-        between `solve` calls).  One pass deduplicates, drops a tautology
-        and reads root values; unless it was a tautology the tables grow to
-        the largest variable, a clause satisfied at the root is dropped and
-        false literals are stripped, the rest kept in order.  A clause that
-        simplifies to a unit is assigned at the root immediately and
-        propagated on the next solve.
+        between `solve` calls).  One pass deduplicates and reads root
+        values; it drops the clause at a tautology or at the first literal
+        true at the root, and otherwise strips false literals and keeps the
+        rest in order.  Only a clause that is not dropped grows the tables
+        to its largest variable.  A clause that simplifies to a unit is
+        assigned at the root immediately and propagated on the next solve.
         """
         if self.unsat:
             return False
         values = self.values
         cap = self._cap
         top = self.num_vars
-        satisfied = False
         seen = set()
         out = []
         for lit in lits:
@@ -166,24 +163,21 @@ class CdclSolver:
             if val == 0:
                 out.append(lit)
             elif val == 1:
-                satisfied = True     # dropped below, unless a tautology
+                return True          # satisfied at the root
         self._ensure(top)
-        if satisfied:
-            return True
         if not out:
             self.unsat = True
             return False
-        active = self.active
+        watches = self.watches
         for lit in out:
-            v = abs(lit)
-            if not active[v]:
-                self._activate(v)
+            if watches[lit] is None:
+                self._activate(lit if lit > 0 else -lit)
         self.n_problem += 1
         if len(out) == 1:
             self._assign(out[0], None)
             return True
-        self.watches[out[0]].append(out)
-        self.watches[out[1]].append(out)
+        watches[out[0]].append(out)
+        watches[out[1]].append(out)
         return True
 
     # -- trail ---------------------------------------------------------------
@@ -272,7 +266,7 @@ class CdclSolver:
         for v in self.active_vars:
             activity[v] *= _RESCALE_FACTOR
         self.var_inc *= _RESCALE_FACTOR
-        self._rescale_marks.append(self.num_vars)
+        self._rescales += 1
         values = self.values
         self.heap = [(-activity[v], v) for v in self.active_vars
                      if values[v] == 0]
@@ -280,21 +274,19 @@ class CdclSolver:
 
     def _analyze(self, confl):
         """First-UIP learning; returns (learnt_clause, backjump_level)."""
-        seen = self._seen
+        seen = set()
         level = self.level
         trail = self.trail
         cur_level = len(self.trail_lim)
         learnt = []
-        to_clear = []
         counter = 0
         p = None
         idx = len(trail) - 1
         while True:
             for l in (confl if p is None else confl[1:]):
                 v = l if l > 0 else -l
-                if not seen[v] and level[v] > 0:
-                    seen[v] = 1
-                    to_clear.append(v)
+                if v not in seen and level[v] > 0:
+                    seen.add(v)
                     self._bump_var(v)
                     if level[v] == cur_level:
                         counter += 1
@@ -304,15 +296,13 @@ class CdclSolver:
                 p = trail[idx]
                 idx -= 1
                 v = p if p > 0 else -p
-                if seen[v]:
+                if v in seen:
                     break
             counter -= 1
             if counter == 0:
                 break
             confl = self.reason[v]
         learnt.insert(0, -p)
-        for v in to_clear:
-            seen[v] = 0
         if len(learnt) == 1:
             return learnt, 0
         # watch position 1 must hold the deepest remaining literal

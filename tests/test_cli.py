@@ -164,6 +164,9 @@ def test_exit_codes_for_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
                          "--timeout-ms", "-5")
     assert code == 2 and "--timeout-ms" in err and out == ""
+    code, _, err = run(capsys, "export", "x.flt", "--k", "0", "--dimacs",
+                       str(tmp_path / "x.cnf"))
+    assert code == 2 and "--k" in err
     bad = tmp_path / "bad.flt"
     bad.write_text("states 1\ninitial 0\nout 0 g\nbogus directive\n")
     code, _, err = run(capsys, "minimize", str(bad))

@@ -1,3 +1,6 @@
+import importlib
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -60,6 +63,22 @@ def test_zero_budget_falls_back_to_identity(twocolor):
     assert not report.proven_minimal
     check_report(report, twocolor)
     assert all(it.outcome == "unknown" for it in report.iterations)
+
+
+def test_budget_covers_the_build(twocolor, monkeypatch):
+    # `filtermin.minimize` is the function; the module holds build_cnf
+    module = importlib.import_module("filtermin.minimize")
+    build_cnf = module.build_cnf
+
+    def slow_build(layout, lazy):
+        time.sleep(0.1)
+        return build_cnf(layout, lazy=lazy)
+
+    monkeypatch.setattr(module, "build_cnf", slow_build)
+    report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.02))
+    assert report.iterations
+    assert all(it.outcome == "unknown" for it in report.iterations)
+    assert report.best_size == 4 and not report.proven_minimal
 
 
 def test_zero_budget_single_state_is_still_proven():

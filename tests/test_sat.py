@@ -145,6 +145,11 @@ def test_partial_model_mentions_active_vars_only():
     assert s.num_vars == 9
     out = s.solve()
     assert out.status == SAT and model_satisfies([[2, 9, -1]], out.model)
+    # so does a clause satisfied at the root
+    s = CdclSolver(num_vars=3)
+    s.add_clause([1])
+    s.add_clause([1, 50])
+    assert s.num_vars == 3
 
 
 def test_fixed_seed_reruns_identical():
@@ -195,7 +200,8 @@ def test_per_variable_work_follows_the_loaded_formula():
     assert out.status == SAT and out.stats.conflicts == 0
     active = {3, 7, 12, 40, 99_999}
     assert set(out.model) == active
-    assert {v for v in range(1, s.num_vars + 1) if s.active[v]} == active
+    assert {v for v in range(1, s.num_vars + 1)
+            if s.watches[v] is not None} == active
     # heap invariant: every active unassigned variable has a current entry
     entries = set(s.heap)
     unassigned = {v for v in active if s.values[v] == 0}
@@ -208,3 +214,22 @@ def test_per_variable_work_follows_the_loaded_formula():
     for v in set(range(1, s.num_vars + 1)) - active:
         assert s.activity[v] == 0.0
         assert s.watches[v] is None and s.watches[-v] is None
+
+
+def test_rescale_keeps_heap_and_jitter_scaled():
+    cls = random_3cnf(60, 250, derive(0x5CA1E, 0))
+    s = CdclSolver(num_vars=70, seed=7)
+    for c in cls:
+        s.add_clause(c)
+    s.var_inc = 1e99                 # the first bump past 1e100 rescales
+    out = s.solve()
+    assert out.status == SAT and out.stats.conflicts == 14
+    assert model_satisfies(cls, out.model)
+    assert s.var_inc < 1
+    entries = set(s.heap)
+    for v in s.active_vars:
+        if s.values[v] == 0:
+            assert (-s.activity[v], v) in entries
+    # a variable activated after the rescale gets its jitter scaled too
+    s.add_clause([65, -66])
+    assert s.activity[65] == (derive(7, 65) % 997) * 1e-12 * 1e-100
