@@ -40,11 +40,11 @@ def milliseconds(text: str) -> int:
     return ms
 
 
-def size_bound(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
-    return k
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _load_deterministic(path: str):
@@ -112,25 +112,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_export(args) -> int:
     flt = _load_deterministic(args.input)
-    wrote = False
-    if args.dimacs is not None or args.varmap is not None:
-        k = args.k if args.k is not None else flt.n_states
-        layout = build_layout(flt, k)
-        formula = build_cnf(layout, lazy=args.lazy)
-        if args.dimacs is not None:
-            _emit(write_dimacs(layout.num_cnf_vars, formula.clauses),
-                  args.dimacs)
-            wrote = True
-        if args.varmap is not None:
-            _emit(write_varmap(layout), args.varmap)
-            wrote = True
-    if args.lp is not None:
-        _emit(write_lp(build_layout(flt, flt.n_states)), args.lp)
-        wrote = True
-    if not wrote:
+    if args.dimacs is None and args.varmap is None and args.lp is None:
         print("error: export needs --dimacs, --varmap, or --lp",
               file=sys.stderr)
         return 2
+    layout = build_layout(flt, args.k if args.k is not None else flt.n_states)
+    if args.dimacs is not None:
+        formula = build_cnf(layout, lazy=args.lazy)
+        _emit(write_dimacs(layout.num_cnf_vars, formula.clauses), args.dimacs)
+    if args.varmap is not None:
+        _emit(write_varmap(layout), args.varmap)
+    if args.lp is not None:
+        _emit(write_lp(layout), args.lp)
     return 0
 
 
@@ -178,22 +171,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export constraint renderings")
     p.add_argument("input")
-    p.add_argument("--k", type=size_bound, default=None,
-                   help="size bound (default: state count)")
+    p.add_argument("--k", type=positive_int, default=None,
+                   help="size bound for every output (default: state count)")
     p.add_argument("--dimacs", default=None, help="CNF output path")
     p.add_argument("--varmap", default=None, help="variable map output path")
     p.add_argument("--lazy", action="store_true",
                    help="export the lazy base formula (zip clauses withheld)")
-    p.add_argument("--lp", default=None, help="LP output path (full bound)")
+    p.add_argument("--lp", default=None, help="LP output path")
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=positive_int, default=3)
     p.add_argument("--csv", default=None, help="CSV output path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout-ms", type=milliseconds, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--no-timing", action="store_true",
                    help="write zeros for elapsed columns")
     p.set_defaults(func=_cmd_bench)

@@ -9,12 +9,12 @@ interaction language.
 
 This module keeps all value-level semantics in one place:
 
-* tracing and outputs (`trace`, `colors_of`),
+* tracing and outputs: the observation-children and the colors of a state
+  set (`children_of_set`, `outputs_of`), `trace` and `colors_of`,
 * determinism checking and subset-construction determinization,
 * output simulation between two filters (`output_simulates`),
-* vertex covers and their machinery: observation-children of a state set,
-  zipped-ness, common outputs, and the smaller filter induced by a zipped
-  cover.
+* vertex covers and their machinery: zipped-ness, common outputs, and the
+  smaller filter induced by a zipped cover.
 
 Filters and covers are immutable values; every operation here is read-only.
 """
@@ -132,22 +132,6 @@ class Filter:
     def _obs_set(self):
         return frozenset(self.observations)
 
-    @cached_property
-    def out_adjacency(self):
-        """state -> sorted tuple of successor states over any observation."""
-        table = {v: set() for v in range(self.n_states)}
-        for (src, dst) in self.transitions:
-            table[src].add(dst)
-        return {v: tuple(sorted(d)) for v, d in table.items()}
-
-    @cached_property
-    def out_labels(self):
-        """state -> sorted tuple of observation tokens with an outgoing edge."""
-        table = {v: set() for v in range(self.n_states)}
-        for (src, _dst), labels in self.transitions.items():
-            table[src].update(labels)
-        return {v: tuple(sorted(d)) for v, d in table.items()}
-
     def children(self, v, y):
         return self.succ.get((v, y), ())
 
@@ -155,10 +139,19 @@ class Filter:
 # ---------------------------------------------------------------------------
 # tracing and outputs
 
-def _step(f: Filter, current, y) -> frozenset:
+def children_of_set(f: Filter, group, y) -> frozenset:
+    """Union of y-successors over a state set."""
     out = set()
-    for v in current:
+    for v in group:
         out.update(f.children(v, y))
+    return frozenset(out)
+
+
+def outputs_of(f: Filter, group) -> frozenset:
+    """Union of colors over a state set."""
+    out = set()
+    for v in group:
+        out.update(f.coloring[v])
     return frozenset(out)
 
 
@@ -175,7 +168,7 @@ def trace(f: Filter, start, s) -> frozenset:
     for y in s:
         if y not in f._obs_set:
             raise ValueError(f"unknown observation token {y!r}")
-        current = _step(f, current, y)
+        current = children_of_set(f, current, y)
         if not current:
             return frozenset()
     return current
@@ -183,11 +176,7 @@ def trace(f: Filter, start, s) -> frozenset:
 
 def colors_of(f: Filter, s) -> frozenset:
     """Union of colors over the states reached from the initial set on `s`."""
-    reached = trace(f, f.initial, s)
-    out = set()
-    for v in reached:
-        out.update(f.coloring[v])
-    return frozenset(out)
+    return outputs_of(f, trace(f, f.initial, s))
 
 
 def interaction_alive(f: Filter, s) -> bool:
@@ -227,7 +216,7 @@ def determinize(f: Filter) -> Filter:
         cur = queue.popleft()
         i = index[cur]
         for y in f.observations:
-            nxt = _step(f, cur, y)
+            nxt = children_of_set(f, cur, y)
             if not nxt:
                 continue
             if nxt not in index:
@@ -235,12 +224,7 @@ def determinize(f: Filter) -> Filter:
                 order.append(nxt)
                 queue.append(nxt)
             trans.setdefault((i, index[nxt]), set()).add(y)
-    coloring = {}
-    for i, group in enumerate(order):
-        got = set()
-        for v in group:
-            got.update(f.coloring[v])
-        coloring[i] = frozenset(got)
+    coloring = {i: outputs_of(f, group) for i, group in enumerate(order)}
     return Filter(n_states=len(order), initial=frozenset({0}),
                   observations=f.observations,
                   transitions={k: frozenset(v) for k, v in trans.items()},
@@ -252,10 +236,11 @@ def reachable_states(f: Filter) -> frozenset:
     queue = deque(seen)
     while queue:
         v = queue.popleft()
-        for w in f.out_adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+        for y in f.observations:
+            for w in f.children(v, y):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
     return frozenset(seen)
 
 
@@ -314,12 +299,6 @@ def output_simulates(candidate: Filter, reference: Filter) -> SimulationVerdict:
     if missing:
         raise ValueError(f"candidate lacks observation tokens {sorted(missing)}")
 
-    def union_colors(f, group):
-        out = set()
-        for v in group:
-            out.update(f.coloring[v])
-        return out
-
     start = (frozenset(reference.initial), frozenset(candidate.initial))
     parents = {start: None}
     queue = deque([start])
@@ -332,8 +311,8 @@ def output_simulates(candidate: Filter, reference: Filter) -> SimulationVerdict:
         elif len(cand_set) >= 2:
             kind = NONDETERMINISTIC
         else:
-            got = union_colors(candidate, cand_set)
-            want = union_colors(reference, ref_set)
+            got = outputs_of(candidate, cand_set)
+            want = outputs_of(reference, ref_set)
             if not got or not got <= want:
                 kind = COLOR_ESCAPE
         if kind is not None:
@@ -345,10 +324,10 @@ def output_simulates(candidate: Filter, reference: Filter) -> SimulationVerdict:
             return SimulationVerdict(holds=False, witness=tuple(reversed(witness)),
                                      failure_kind=kind)
         for y in reference.observations:
-            ref_next = _step(reference, ref_set, y)
+            ref_next = children_of_set(reference, ref_set, y)
             if not ref_next:
                 continue  # string leaves the reference's language
-            cand_next = _step(candidate, cand_set, y)
+            cand_next = children_of_set(candidate, cand_set, y)
             nxt = (ref_next, cand_next)
             if nxt not in parents:
                 parents[nxt] = (pair, y)
@@ -387,11 +366,6 @@ class Cover:
         for k in self.subsets:
             union.update(k)
         return union == set(range(self.over.n_states))
-
-
-def children_of_set(f: Filter, group, y) -> frozenset:
-    """Union of y-successors over a state set."""
-    return _step(f, frozenset(group), y)
 
 
 def common_outputs(f: Filter, group) -> frozenset:
@@ -485,12 +459,13 @@ def sample_language(f: Filter, rng, max_len: int) -> tuple:
     want = rng.randbelow(max_len + 1)
     out = []
     for _ in range(want):
-        options = sorted({y for v in current for y in f.out_labels[v]})
+        options = sorted({y for v in current for y in f.observations
+                          if f.children(v, y)})
         if not options:
             break
         y = options[rng.randbelow(len(options))]
         out.append(y)
-        current = _step(f, current, y)
+        current = children_of_set(f, current, y)
     return tuple(out)
 
 

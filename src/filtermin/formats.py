@@ -119,20 +119,16 @@ def parse_flt(text: str) -> Filter:
     for v, (_cols, lineno) in outs.items():
         if not 0 <= v < n_states:
             raise FltError(f"out line for unknown state {v}", lineno)
-    transitions = {}
     for src, y, dst, lineno in trans:
         for end in (src, dst):
             if not 0 <= end < n_states:
                 raise FltError(f"transition mentions unknown state {end}",
                                lineno)
-        transitions.setdefault((src, dst), set()).add(y)
-    return Filter(
-        n_states=n_states,
-        initial=frozenset(v for v, _ in initial),
-        observations=tuple(obs_order),
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        colors=tuple(col_order),
-        coloring={v: frozenset(cols) for v, (cols, _) in outs.items()},
+    return Filter.build(
+        n_states, (v for v, _ in initial),
+        [(src, y, dst) for src, y, dst, _ in trans],
+        {v: cols for v, (cols, _) in outs.items()},
+        observations=tuple(obs_order), colors=tuple(col_order),
         name=name if name is not None else "filter")
 
 
@@ -168,6 +164,11 @@ def write_dimacs(num_vars: int, clauses) -> str:
 
 
 def parse_dimacs(text: str):
+    """Read DIMACS CNF text into (num_vars, clauses).
+
+    Clauses must follow the problem line, and every literal must name a
+    variable in 1..num_vars, the range `CdclSolver(num_vars)` accepts.
+    """
     num_vars = None
     n_clauses = None
     clauses = []
@@ -182,8 +183,13 @@ def parse_dimacs(text: str):
                 raise ValueError(f"bad problem line {line!r}")
             num_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
+        if num_vars is None:
+            raise ValueError(f"missing problem line before {line!r}")
         for tok in line.split():
             lit = int(tok)
+            if abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} outside variables "
+                                 f"1..{num_vars}")
             if lit == 0:
                 clauses.append(pending)
                 pending = []

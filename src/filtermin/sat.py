@@ -8,9 +8,11 @@ between `solve` calls and learned clauses survive, which is what makes the
 shrinking size loop and the just-in-time constraint loading cheap.
 
 Literal convention is DIMACS-like: variables are positive ints, a negative
-int is the negated literal.  Literal-indexed tables exploit Python's
-negative indexing; a table of capacity c has length 2c + 1 so table[lit]
-works for -c <= lit <= c.
+int is the negated literal.  The variable range 1..num_vars is fixed when
+the solver is built, and every table is sized once then and never grows.
+Literal-indexed tables exploit Python's negative indexing: with n
+variables they have length 2n + 1, so table[lit] works for -n <= lit <= n.
+`add_clause` rejects any literal outside that range, 0 included.
 
 A variable becomes active when a stored clause first mentions it, and
 only then does it cost anything beyond its slots in the tables: that is
@@ -65,15 +67,15 @@ class SolveOutcome:
 
 
 class CdclSolver:
-    def __init__(self, num_vars: int = 0, seed: int = 0):
-        self._cap = 0
-        self.num_vars = 0
-        self.values = [0]        # lit-indexed: 1 true, -1 false, 0 unassigned
-        self.watches = [None]    # lit-indexed lists of clauses watching lit
-        self.level = [0]         # var-indexed tables from here down
-        self.reason = [None]
-        self.activity = [0.0]
-        self.saved_phase = [False]
+    def __init__(self, num_vars: int, seed: int = 0):
+        self.num_vars = num_vars
+        lits, nv = 2 * num_vars + 1, num_vars + 1
+        self.values = [0] * lits       # lit-indexed: 1 true, -1 false, 0 unset
+        self.watches = [None] * lits   # lit-indexed lists of clauses watching lit
+        self.level = [0] * nv          # var-indexed tables from here down
+        self.reason = [None] * nv
+        self.activity = [0.0] * nv
+        self.saved_phase = [False] * nv
         self.active_vars = array("i")   # in activation order
         self._heaped = 0         # active_vars[:_heaped] have entered the heap
         self.trail = []
@@ -90,31 +92,8 @@ class CdclSolver:
         # jitter(v) == (derive(seed, v) % 997) * 1e-12, the first mix hoisted
         self._jitter_base = mix64(seed ^ _GAMMA)
         self._rescales = 0
-        if num_vars:
-            self._ensure(num_vars)
 
     # -- storage -------------------------------------------------------------
-
-    def _ensure(self, n):
-        if n <= self.num_vars:
-            return
-        if n > self._cap:
-            cap = max(n, 2 * self._cap, 1024)
-            for name, default in (("values", 0), ("watches", None)):
-                old = getattr(self, name)
-                new = [default] * (2 * cap + 1)
-                c = self._cap
-                new[:c + 1] = old[:c + 1]
-                if c:
-                    new[-c:] = old[-c:]
-                setattr(self, name, new)
-            grow = cap + 1 - len(self.level)
-            self.level.extend([0] * grow)
-            self.reason.extend([None] * grow)
-            self.activity.extend([0.0] * grow)
-            self.saved_phase.extend([False] * grow)
-            self._cap = cap
-        self.num_vars = n
 
     def _activate(self, v):
         """First mention of v in a stored clause: watch lists and jitter.
@@ -136,18 +115,20 @@ class CdclSolver:
         """Add a problem clause; returns False once the formula is known unsat.
 
         Must be called with the solver at decision level 0 (it always is
-        between `solve` calls).  One pass deduplicates and reads root
-        values; it drops the clause at a tautology or at the first literal
-        true at the root, and otherwise strips false literals and keeps the
-        rest in order.  Only a clause that is not dropped grows the tables
-        to its largest variable.  A clause that simplifies to a unit is
-        assigned at the root immediately and propagated on the next solve.
+        between `solve` calls).  Every literal must name a variable in
+        1..num_vars: one pass checks each literal in turn, and raises
+        ValueError, leaving the solver as it was, at the first one out of
+        range.  The same pass deduplicates and reads root values; it drops
+        the clause at a tautology or at the first literal true at the root,
+        so a literal after that point is never read or checked.  Otherwise
+        it strips false literals and keeps the rest in order.  A clause
+        that simplifies to a unit is assigned at the root immediately and
+        propagated on the next solve.
         """
         if self.unsat:
             return False
         values = self.values
-        cap = self._cap
-        top = self.num_vars
+        num_vars = self.num_vars
         seen = set()
         out = []
         for lit in lits:
@@ -156,15 +137,14 @@ class CdclSolver:
             if -lit in seen:
                 return True          # tautology
             seen.add(lit)
-            v = lit if lit > 0 else -lit
-            if v > top:
-                top = v
-            val = values[lit] if v <= cap else 0    # no slot yet: unassigned
+            if not lit or not -num_vars <= lit <= num_vars:
+                raise ValueError(
+                    f"literal {lit} outside variables 1..{num_vars}")
+            val = values[lit]
             if val == 0:
                 out.append(lit)
             elif val == 1:
                 return True          # satisfied at the root
-        self._ensure(top)
         if not out:
             self.unsat = True
             return False

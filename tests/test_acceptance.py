@@ -218,7 +218,7 @@ def test_criterion_7_reference_example_unavailable():
 
 def test_criterion_8_solver_sanity():
     # a pigeonhole instance that is unsatisfiable by counting
-    s = CdclSolver(seed=3)
+    s = CdclSolver(12, seed=3)
     for c in php_clauses(4, 3):
         s.add_clause(c)
     assert s.solve().status == UNSAT
@@ -226,7 +226,7 @@ def test_criterion_8_solver_sanity():
     verified = 0
     for i in range(10):
         cls = random_3cnf(50, 100, derive(0x5A7, i))
-        solver = CdclSolver(seed=11)
+        solver = CdclSolver(50, seed=11)
         for c in cls:
             solver.add_clause(c)
         out = solver.solve()
@@ -236,7 +236,7 @@ def test_criterion_8_solver_sanity():
     assert verified >= 1
 
     def run_once():
-        solver = CdclSolver(seed=99)
+        solver = CdclSolver(50, seed=99)
         for c in random_3cnf(50, 180, 0xF1DE):
             solver.add_clause(c)
         out = solver.solve()

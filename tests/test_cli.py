@@ -137,6 +137,14 @@ def test_export_lp(tmp_path, capsys, chain3_path):
     assert text.startswith("Minimize") and text.rstrip().endswith("End")
 
 
+def test_export_lp_honours_k(tmp_path, capsys, twocolor_path):
+    lp_path = tmp_path / "f.lp"
+    code, _, _ = run(capsys, "export", twocolor_path, "--k", "2",
+                     "--lp", str(lp_path))
+    assert code == 0
+    assert lp_path.read_text().splitlines()[1] == " obj: q_1 + q_2"
+
+
 def test_export_nothing_requested_is_usage_error(capsys, chain3_path):
     code, _, err = run(capsys, "export", chain3_path)
     assert code == 2
@@ -164,6 +172,11 @@ def test_exit_codes_for_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
                          "--timeout-ms", "-5")
     assert code == 2 and "--timeout-ms" in err and out == ""
+    for flag, value in (("--repeats", "0"), ("--repeats", "-2"),
+                        ("--jobs", "-1")):
+        code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
+                             flag, value)
+        assert code == 2 and flag in err and out == ""
     code, _, err = run(capsys, "export", "x.flt", "--k", "0", "--dimacs",
                        str(tmp_path / "x.cnf"))
     assert code == 2 and "--k" in err

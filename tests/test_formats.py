@@ -111,6 +111,8 @@ def test_dimacs_accepts_comments_and_multiline_clauses():
     ("1 0\n", "missing problem line"),
     ("p cnf 2 1\n1 2\n", "terminating 0"),
     ("p dnf 2 1\n1 0\n", "bad problem line"),
+    ("p cnf 3 1\n5 -9 0\n", "literal 5 outside variables 1..3"),
+    ("1 0\np cnf 1 1\n", "missing problem line before '1 0'"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtermin import SAT, UNKNOWN, UNSAT, CdclSolver
@@ -33,7 +34,8 @@ def model_satisfies(clauses, model):
 
 
 def fresh(clauses):
-    s = CdclSolver(seed=7)
+    s = CdclSolver(max((abs(l) for c in clauses for l in c), default=0),
+                   seed=7)
     for c in clauses:
         s.add_clause(c)
     return s
@@ -84,7 +86,7 @@ def test_incremental_bans_flip_sat_to_unsat():
 
 
 def test_empty_clause_is_unsat():
-    s = CdclSolver()
+    s = CdclSolver(0)
     s.add_clause([])
     assert s.solve().status == UNSAT
 
@@ -99,7 +101,7 @@ def test_conflicting_units_unsat():
 
 
 def test_tautologies_and_duplicates_normalized():
-    s = CdclSolver()
+    s = CdclSolver(13)
     s.add_clause([1, -1])            # dropped outright
     assert s.n_problem == 0
     s.add_clause([2, 2, 3])
@@ -119,7 +121,7 @@ def test_tautologies_and_duplicates_normalized():
 
 
 def test_root_simplification_tracks_problem_count():
-    s = CdclSolver()
+    s = CdclSolver(7)
     s.add_clause([5])
     assert s.n_problem == 1
     s.solve()
@@ -137,19 +139,14 @@ def test_partial_model_mentions_active_vars_only():
     assert out.status == SAT
     assert set(out.model) <= {2, 10}
     assert 9 not in out.model
-    # the tables grow to the largest variable a clause mentions
-    s = CdclSolver(num_vars=3)
-    s.add_clause([2, 9, -1])
-    assert s.num_vars == 9
-    s.add_clause([20, -20])          # a tautology leaves the tables alone
-    assert s.num_vars == 9
-    out = s.solve()
-    assert out.status == SAT and model_satisfies([[2, 9, -1]], out.model)
-    # so does a clause satisfied at the root
-    s = CdclSolver(num_vars=3)
-    s.add_clause([1])
-    s.add_clause([1, 50])
-    assert s.num_vars == 3
+    # every literal must name a variable of the fixed range 1..num_vars
+    s = CdclSolver(3)
+    for clause in ([0, 1], [4], [-4], [1, -4]):
+        with pytest.raises(ValueError):
+            s.add_clause(clause)
+    assert s.n_problem == 0 and not s.active_vars
+    # a clause an earlier literal made vacuous is dropped unread
+    assert s.add_clause([1, -1, 4]) is True
 
 
 def test_fixed_seed_reruns_identical():
@@ -165,7 +162,7 @@ def test_fixed_seed_reruns_identical():
 def test_different_seeds_still_agree_on_status():
     cls = php_clauses(5, 4)
     for seed in (1, 2, 3):
-        s = CdclSolver(seed=seed)
+        s = CdclSolver(20, seed=seed)
         for c in cls:
             s.add_clause(c)
         assert s.solve().status == UNSAT
