@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from filtermin import (Budget, GenParams, METHOD_LAZY, METHOD_SAT,  # noqa: E402
                        generate, minimize)
 from filtermin.bench import LARGE_SHAPE  # noqa: E402
+from filtermin.cli import positive_int  # noqa: E402
 from filtermin.rng import derive  # noqa: E402
 
 CSV_HEADER = ("instance,seed,n_states,method,best_size,proven,"
@@ -29,7 +30,7 @@ CSV_HEADER = ("instance,seed,n_states,method,best_size,proven,"
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--instances", type=int, default=3)
+    ap.add_argument("--instances", type=positive_int, default=3)
     ap.add_argument("--budget-s", type=float, default=60.0)
     ap.add_argument("--seed", type=int, default=0xB1A5)
     ap.add_argument("--csv", default=None)
@@ -40,7 +41,7 @@ def main():
         seed = derive(args.seed, i)
         flt = generate(GenParams(seed=seed, **LARGE_SHAPE))
         print(f"instance {i}: {flt.n_states} states, "
-              f"{sum(len(o) for o in flt.transitions.values())} edges")
+              f"{sum(len(d) for d in flt.succ.values())} edges")
         results = {}
         for method in (METHOD_SAT, METHOD_LAZY):
             t0 = time.monotonic()

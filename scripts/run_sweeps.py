@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from filtermin import BENCH_HEADER, run_bench  # noqa: E402
-from filtermin.cli import milliseconds, positive_int  # noqa: E402
+from filtermin.cli import nonnegative_int, positive_int  # noqa: E402
 
 COLUMN = {"obs-sweep": 7, "out-sweep": 5}
 AXIS = {"obs-sweep": "observation tokens", "out-sweep": "output colors"}
@@ -39,7 +39,7 @@ def medians_by_point(csv_text, suite, method):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=positive_int, default=10)
-    ap.add_argument("--timeout-ms", type=milliseconds, default=60000)
+    ap.add_argument("--timeout-ms", type=nonnegative_int, default=60000)
     ap.add_argument("--jobs", type=positive_int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--outdir", default="results")

@@ -33,11 +33,11 @@ def _emit(text: str, path: Optional[str]):
             fh.write(text)
 
 
-def milliseconds(text: str) -> int:
-    ms = int(text)
-    if ms < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {ms}")
-    return ms
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def positive_int(text: str) -> int:
@@ -145,20 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input .flt file")
     p.add_argument("--method", choices=(METHOD_SAT, METHOD_LAZY),
                    default=METHOD_SAT)
-    p.add_argument("--timeout-ms", type=milliseconds, default=None)
+    p.add_argument("--timeout-ms", type=nonnegative_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output .flt path (default stdout)")
     p.add_argument("--stats", default=None, help="per-iteration CSV path")
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("gen", help="generate a random layered filter")
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--width", type=int, default=3)
-    p.add_argument("--self-loops", type=int, default=2)
-    p.add_argument("--back-edges", type=int, default=2)
-    p.add_argument("--outputs", type=int, default=5)
-    p.add_argument("--outputs-per-state", type=int, default=2)
-    p.add_argument("--observations", type=int, default=6)
+    p.add_argument("--layers", type=positive_int, default=4)
+    p.add_argument("--width", type=positive_int, default=3)
+    p.add_argument("--self-loops", type=nonnegative_int, default=2)
+    p.add_argument("--back-edges", type=nonnegative_int, default=2)
+    p.add_argument("--outputs", type=positive_int, default=5)
+    p.add_argument("--outputs-per-state", type=positive_int, default=2)
+    p.add_argument("--observations", type=positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=positive_int, default=3)
     p.add_argument("--csv", default=None, help="CSV output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout-ms", type=milliseconds, default=None)
+    p.add_argument("--timeout-ms", type=nonnegative_int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--no-timing", action="store_true",
                    help="write zeros for elapsed columns")

@@ -52,14 +52,9 @@ class VarLayout:
         self._a_base = k * self.n
         self._b_base = self._a_base + k * k * len(self.obs)
         self._q_base = self._b_base + k * len(self.cols)
-        # deterministic filter: at most one y-child per (state, observation)
-        self._child = {}
-        for (v, y), dsts in flt.succ.items():
-            self._child[(v, y)] = dsts[0]
         # live (state, observation) pairs, ordered by (state, declared obs order)
         self.live_edges = tuple(sorted(
-            ((v, y) for (v, y) in self._child),
-            key=lambda e: (e[0], self._obs_pos[e[1]])))
+            flt.succ, key=lambda e: (e[0], self._obs_pos[e[1]])))
         # (state, color) pairs the state does NOT carry, same ordering idea
         self.zero_outputs = tuple(
             (v, o) for v in range(self.n) for o in self.cols
@@ -103,14 +98,16 @@ class VarLayout:
 
     def t_table(self, y, v):
         """1 when state v has a y-child."""
-        return 1 if (v, y) in self._child else 0
+        return 1 if (v, y) in self.filter.succ else 0
 
     def p_table(self, o, v):
         """1 when color o is among state v's outputs."""
         return 1 if o in self.filter.coloring[v] else 0
 
     def child(self, v, y):
-        return self._child.get((v, y))
+        """v's one y-child (the filter is deterministic), or None."""
+        dsts = self.filter.succ.get((v, y))
+        return None if dsts is None else dsts[0]
 
     def decode(self, var):
         """Map a variable id back to its block and coordinates."""
@@ -353,9 +350,9 @@ def eval_inp(layout: VarLayout, asg) -> FeasibilityReport:
                 prod = 1
                 for v in range(n):
                     t = layout.t_table(y, v)
-                    child = layout.child(v, y)
-                    rj_child = r(j, child) if child is not None else 0
-                    prod *= 2 - r(i, v) - t + rj_child
+                    w = layout.child(v, y)
+                    r_jw = r(j, w) if w is not None else 0
+                    prod *= 2 - r(i, v) - t + r_jw
                     if prod == 0:
                         break
                 total += prod

@@ -1,11 +1,13 @@
 """Data model and semantics for combinatorial (procrustean) filters.
 
 A filter is a finite transition system whose edges carry observation tokens
-and whose states each carry a non-empty set of output colors.  Feeding it an
-observation string traces a set of states; the union of their colors is the
-filter's output for that string.  A string "crashes" when the traced set
-becomes empty, and the set of non-crashing strings is the filter's
-interaction language.
+and whose states each carry a non-empty set of output colors.  Its one edge
+table, `Filter.succ`, maps (state v, observation y) to v's y-children; every
+operation here, and every constraint in `encoding`, reads edges from it.
+Feeding it an observation string traces a set of states; the union of their
+colors is the filter's output for that string.  A string "crashes" when the
+traced set becomes empty, and the set of non-crashing strings is the
+filter's interaction language.
 
 This module keeps all value-level semantics in one place:
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 CRASH = "crash"
@@ -34,17 +35,18 @@ COLOR_ESCAPE = "color-escape"
 class Filter:
     """A finite observation-labelled transition system with colored states.
 
-    States are dense ints 0..n_states-1.  `transitions` maps a (src, dst)
-    pair to the non-empty set of observation tokens labelling that edge;
-    `coloring` gives every state its non-empty color set.  `observations`
-    and `colors` fix the declared alphabets and their order (the order is
-    load-bearing: variable numbering and canonical serialization follow it).
+    States are dense ints 0..n_states-1.  `succ`, the one edge table, maps
+    a (state, observation) pair to the sorted tuple of its successor states;
+    a pair with no edge is absent.  `coloring` gives every state its
+    non-empty color set.  `observations` and `colors` fix the declared
+    alphabets and their order (the order is load-bearing: variable
+    numbering and canonical serialization follow it).
     """
 
     n_states: int
     initial: frozenset
     observations: tuple
-    transitions: dict
+    succ: dict
     colors: tuple
     coloring: dict
     name: str = "filter"
@@ -65,17 +67,18 @@ class Filter:
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "colors", cols)
         obs_set, col_set = set(obs), set(cols)
-        trans = {}
-        for (src, dst), labels in self.transitions.items():
-            labels = frozenset(labels)
-            if not labels:
+        succ = {}
+        for (src, y), dsts in self.succ.items():
+            dsts = tuple(sorted(set(dsts)))
+            if not dsts:
                 continue
-            if src not in states or dst not in states:
-                raise ValueError(f"transition ({src},{dst}) out of range")
-            if not labels <= obs_set:
-                raise ValueError(f"undeclared observation on edge ({src},{dst})")
-            trans[(src, dst)] = labels
-        object.__setattr__(self, "transitions", trans)
+            if src not in states or not all(d in states for d in dsts):
+                raise ValueError(f"transition ({src},{y!r}) out of range")
+            if y not in obs_set:
+                raise ValueError(
+                    f"undeclared observation {y!r} on state {src}")
+            succ[(src, y)] = dsts
+        object.__setattr__(self, "succ", succ)
         coloring = {}
         for v in states:
             got = frozenset(self.coloring.get(v, ()))
@@ -99,10 +102,10 @@ class Filter:
         """
         if not isinstance(coloring, dict):
             coloring = {v: cs for v, cs in enumerate(coloring)}
-        trans = {}
+        succ = {}
         seen_obs = []
         for src, y, dst in edges:
-            trans.setdefault((src, dst), set()).add(y)
+            succ.setdefault((src, y), set()).add(dst)
             if y not in seen_obs:
                 seen_obs.append(y)
         if observations is None:
@@ -115,22 +118,8 @@ class Filter:
                         seen_cols.append(c)
             colors = tuple(seen_cols)
         return cls(n_states=n_states, initial=frozenset(initial),
-                   observations=observations,
-                   transitions={k: frozenset(v) for k, v in trans.items()},
+                   observations=observations, succ=succ,
                    colors=colors, coloring=dict(coloring), name=name)
-
-    @cached_property
-    def succ(self):
-        """(state, observation) -> sorted tuple of successor states."""
-        table = {}
-        for (src, dst), labels in self.transitions.items():
-            for y in labels:
-                table.setdefault((src, y), []).append(dst)
-        return {k: tuple(sorted(v)) for k, v in table.items()}
-
-    @cached_property
-    def _obs_set(self):
-        return frozenset(self.observations)
 
     def children(self, v, y):
         return self.succ.get((v, y), ())
@@ -166,7 +155,7 @@ def trace(f: Filter, start, s) -> frozenset:
     if not current <= set(range(f.n_states)):
         raise ValueError("trace start set out of range")
     for y in s:
-        if y not in f._obs_set:
+        if y not in f.observations:
             raise ValueError(f"unknown observation token {y!r}")
         current = children_of_set(f, current, y)
         if not current:
@@ -188,15 +177,9 @@ def interaction_alive(f: Filter, s) -> bool:
 # determinism
 
 def is_deterministic(f: Filter) -> bool:
-    """One initial state and pairwise label-disjoint sibling edges."""
-    if len(f.initial) != 1:
-        return False
-    total = {}
-    union = {}
-    for (src, _dst), labels in f.transitions.items():
-        total[src] = total.get(src, 0) + len(labels)
-        union.setdefault(src, set()).update(labels)
-    return all(total[src] == len(union[src]) for src in total)
+    """One initial state and at most one y-child per (state, observation)."""
+    return (len(f.initial) == 1
+            and all(len(dsts) == 1 for dsts in f.succ.values()))
 
 
 def determinize(f: Filter) -> Filter:
@@ -211,7 +194,7 @@ def determinize(f: Filter) -> Filter:
     index = {start: 0}
     order = [start]
     queue = deque([start])
-    trans = {}
+    succ = {}
     while queue:
         cur = queue.popleft()
         i = index[cur]
@@ -223,12 +206,11 @@ def determinize(f: Filter) -> Filter:
                 index[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
-            trans.setdefault((i, index[nxt]), set()).add(y)
+            succ[(i, y)] = (index[nxt],)
     coloring = {i: outputs_of(f, group) for i, group in enumerate(order)}
     return Filter(n_states=len(order), initial=frozenset({0}),
-                  observations=f.observations,
-                  transitions={k: frozenset(v) for k, v in trans.items()},
-                  colors=f.colors, coloring=coloring, name=f.name + "_det")
+                  observations=f.observations, succ=succ, colors=f.colors,
+                  coloring=coloring, name=f.name + "_det")
 
 
 def reachable_states(f: Filter) -> frozenset:
@@ -254,14 +236,14 @@ def strip_unreachable(f: Filter):
     if len(keep) == f.n_states:
         return f, ()
     remap = {old: new for new, old in enumerate(keep)}
-    trans = {(remap[s], remap[d]): labels
-             for (s, d), labels in f.transitions.items()
-             if s in remap and d in remap}
+    # a reachable state's successors are reachable too
+    succ = {(remap[s], y): tuple(remap[d] for d in dsts)
+            for (s, y), dsts in f.succ.items() if s in remap}
     coloring = {remap[v]: f.coloring[v] for v in keep}
     removed = tuple(v for v in range(f.n_states) if v not in remap)
     g = Filter(n_states=len(keep), initial=frozenset(remap[v] for v in f.initial),
-               observations=f.observations, transitions=trans,
-               colors=f.colors, coloring=coloring, name=f.name)
+               observations=f.observations, succ=succ, colors=f.colors,
+               coloring=coloring, name=f.name)
     return g, removed
 
 
@@ -412,7 +394,7 @@ def identity_cover(f: Filter) -> Cover:
 def induced_filter(cover: Cover) -> Filter:
     """Collapse a valid zipped cover into a filter with one state per subset.
 
-    Ties resolve deterministically: transitions enter the lowest-indexed
+    Ties resolve deterministically: each edge enters the lowest-indexed
     subset containing all children, the initial state is the lowest-indexed
     subset containing the original initial state, and each state is colored
     with the lexicographically smallest common output of its subset.
@@ -433,7 +415,7 @@ def induced_filter(cover: Cover) -> Filter:
         if not shared:
             raise ValueError(f"subset {i} has no common output")
         coloring[i] = frozenset({min(shared)})
-    trans = {}
+    succ = {}
     for i, group in enumerate(groups):
         for y in f.observations:
             ch = children_of_set(f, group, y)
@@ -442,10 +424,9 @@ def induced_filter(cover: Cover) -> Filter:
             j = next((jj for jj, other in enumerate(groups) if ch <= other), None)
             if j is None:
                 raise ValueError(f"cover is not zipped at subset {i} on {y!r}")
-            trans.setdefault((i, j), set()).add(y)
+            succ[(i, y)] = (j,)
     return Filter(n_states=len(groups), initial=frozenset({init_idx}),
-                  observations=f.observations,
-                  transitions={k: frozenset(v) for k, v in trans.items()},
+                  observations=f.observations, succ=succ,
                   colors=f.colors, coloring=coloring,
                   name=f.name + "_induced")
 
@@ -489,10 +470,9 @@ def canonical_key(f: Filter):
                     index[w] = len(order)
                     order.append(w)
                     queue.append(w)
-    edges = []
-    for (src, dst), labels in f.transitions.items():
-        if src in index and dst in index:
-            for y in labels:
-                edges.append((index[src], y, index[dst]))
+    # the search above indexes every successor of an indexed state
+    edges = sorted((index[src], y, index[dst])
+                   for (src, y), dsts in f.succ.items() if src in index
+                   for dst in dsts)
     colors = tuple(tuple(sorted(f.coloring[v])) for v in order)
-    return (len(order), colors, tuple(sorted(edges)))
+    return (len(order), colors, tuple(edges))

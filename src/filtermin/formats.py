@@ -56,7 +56,6 @@ def parse_flt(text: str) -> Filter:
     outs = {}
     trans = []
     seen_trans = set()
-    obs_order = []
     col_order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,8 +101,6 @@ def parse_flt(text: str) -> Filter:
                 raise FltError(f"duplicate trans {src} {y} {dst}", lineno)
             seen_trans.add((src, y, dst))
             trans.append((src, y, dst, lineno))
-            if y not in obs_order:
-                obs_order.append(y)
         else:
             raise FltError(f"unknown directive {directive!r}", lineno)
     if n_states is None:
@@ -124,12 +121,12 @@ def parse_flt(text: str) -> Filter:
             if not 0 <= end < n_states:
                 raise FltError(f"transition mentions unknown state {end}",
                                lineno)
+    # observations default to first appearance in trans-line order
     return Filter.build(
         n_states, (v for v, _ in initial),
         [(src, y, dst) for src, y, dst, _ in trans],
         {v: cols for v, (cols, _) in outs.items()},
-        observations=tuple(obs_order), colors=tuple(col_order),
-        name=name if name is not None else "filter")
+        colors=tuple(col_order), name=name if name is not None else "filter")
 
 
 def write_flt(flt: Filter) -> str:
@@ -144,11 +141,9 @@ def write_flt(flt: Filter) -> str:
     for v in range(flt.n_states):
         cols = sorted(flt.coloring[v], key=col_pos.__getitem__)
         buf.write(f"out {v} {' '.join(cols)}\n")
-    rows = []
-    for (src, dst), labels in flt.transitions.items():
-        for y in labels:
-            rows.append((src, y, dst))
-    for src, y, dst in sorted(rows):
+    rows = sorted((src, y, dst) for (src, y), dsts in flt.succ.items()
+                  for dst in dsts)
+    for src, y, dst in rows:
         buf.write(f"trans {src} {y} {dst}\n")
     return buf.getvalue()
 
@@ -166,8 +161,9 @@ def write_dimacs(num_vars: int, clauses) -> str:
 def parse_dimacs(text: str):
     """Read DIMACS CNF text into (num_vars, clauses).
 
-    Clauses must follow the problem line, and every literal must name a
-    variable in 1..num_vars, the range `CdclSolver(num_vars)` accepts.
+    There must be exactly one problem line, with non-negative counts.
+    Clauses must follow it, and every literal must name a variable in
+    1..num_vars, the range `CdclSolver(num_vars)` accepts.
     """
     num_vars = None
     n_clauses = None
@@ -181,7 +177,11 @@ def parse_dimacs(text: str):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line {line!r}")
+            if num_vars is not None:
+                raise ValueError(f"second problem line {line!r}")
             num_vars, n_clauses = int(parts[2]), int(parts[3])
+            if num_vars < 0 or n_clauses < 0:
+                raise ValueError(f"negative count in problem line {line!r}")
             continue
         if num_vars is None:
             raise ValueError(f"missing problem line before {line!r}")
@@ -236,8 +236,11 @@ def write_dot(flt: Filter) -> str:
                                key=flt.colors.index))
         shape = "doublecircle" if v in flt.initial else "circle"
         buf.write(f'  s{v} [label="{v}\\n{cols}" shape={shape}];\n')
-    for (src, dst) in sorted(flt.transitions):
-        labels = ",".join(sorted(flt.transitions[(src, dst)]))
-        buf.write(f'  s{src} -> s{dst} [label="{labels}"];\n')
+    labels = {}  # one arrow per (src, dst), labelled with all its tokens
+    for (src, y), dsts in flt.succ.items():
+        for dst in dsts:
+            labels.setdefault((src, dst), []).append(y)
+    for (src, dst), ys in sorted(labels.items()):
+        buf.write(f'  s{src} -> s{dst} [label="{",".join(sorted(ys))}"];\n')
     buf.write("}\n")
     return buf.getvalue()

@@ -68,6 +68,8 @@ class SolveOutcome:
 
 class CdclSolver:
     def __init__(self, num_vars: int, seed: int = 0):
+        if num_vars < 0:
+            raise ValueError(f"variable count must be >= 0, got {num_vars}")
         self.num_vars = num_vars
         lits, nv = 2 * num_vars + 1, num_vars + 1
         self.values = [0] * lits       # lit-indexed: 1 true, -1 false, 0 unset

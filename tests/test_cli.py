@@ -177,6 +177,10 @@ def test_exit_codes_for_usage_errors(capsys, tmp_path):
         code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
                              flag, value)
         assert code == 2 and flag in err and out == ""
+    for flag, value in (("--layers", "0"), ("--self-loops", "-1"),
+                        ("--observations", "0")):
+        code, out, err = run(capsys, "gen", flag, value)
+        assert code == 2 and flag in err and out == ""
     code, _, err = run(capsys, "export", "x.flt", "--k", "0", "--dimacs",
                        str(tmp_path / "x.cnf"))
     assert code == 2 and "--k" in err

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (Budget, FltError, METHOD_SAT, STATS_HEADER,
+from filtermin import (Budget, Filter, FltError, METHOD_SAT, STATS_HEADER,
                        build_layout, canonical_key, minimize, parse_dimacs,
                        parse_flt, write_dimacs, write_dot, write_flt,
                        write_stats_csv, write_varmap)
@@ -113,6 +113,8 @@ def test_dimacs_accepts_comments_and_multiline_clauses():
     ("p dnf 2 1\n1 0\n", "bad problem line"),
     ("p cnf 3 1\n5 -9 0\n", "literal 5 outside variables 1..3"),
     ("1 0\np cnf 1 1\n", "missing problem line before '1 0'"),
+    ("p cnf -2 0\n", "negative count"),
+    ("p cnf 3 1\n1 0\np cnf 1 1\n", "second problem line"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -154,3 +156,9 @@ def test_dot_smoke(twocolor):
     assert 's0 [label="0\\ng" shape=doublecircle];' in dot
     assert 's0 -> s1 [label="a"];' in dot
     assert dot.rstrip().endswith("}")
+    # two tokens on one (src, dst) pair render as one labelled arrow
+    two = Filter.build(2, [0], [(0, "b", 1), (0, "a", 1), (1, "a", 1)],
+                       [["g"], ["g"]], name="two")
+    dot = write_dot(two)
+    assert dot.count("s0 -> s1") == 1
+    assert 's0 -> s1 [label="a,b"];' in dot

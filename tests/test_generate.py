@@ -6,8 +6,12 @@ from filtermin import (GenParams, GenerationError, canonical_key, generate,
 
 
 def out_degree(flt, v):
-    return sum(len(obs) for (src, _), obs in flt.transitions.items()
-               if src == v)
+    return sum(len(dsts) for (src, _), dsts in flt.succ.items() if src == v)
+
+
+def edge_triples(flt):
+    return [(src, y, dst) for (src, y), dsts in flt.succ.items()
+            for dst in dsts]
 
 
 def test_state_count_and_layers():
@@ -35,10 +39,10 @@ def test_edge_budget():
                   n_outputs=2, outputs_per_state=1, n_observations=5, seed=11)
     flt = generate(p)
     n = flt.n_states
-    loops = sum(1 for (s, d) in flt.transitions if s == d)
+    loops = sum(1 for (s, _, d) in edge_triples(flt) if s == d)
     assert loops == p.self_loops
     # tree: one parent edge per non-root state; everything else is back edges
-    non_loop = sum(1 for (s, d) in flt.transitions if s != d)
+    non_loop = sum(1 for (s, _, d) in edge_triples(flt) if s != d)
     assert non_loop == (n - 1) + p.back_edges
 
 

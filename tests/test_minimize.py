@@ -93,8 +93,7 @@ def test_lazy_counters_within_bounds(twocolor):
     assert 0 <= report.zip_obs_loaded <= n_obs
     live = {(v, y) for v in range(twocolor.n_states)
             for y in twocolor.observations
-            if any(src == v and y in obs
-                   for (src, dst), obs in twocolor.transitions.items())}
+            if twocolor.children(v, y)}
     assert 0 <= report.zip_pairs_loaded <= len(live)
 
 

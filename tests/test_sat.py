@@ -91,6 +91,11 @@ def test_empty_clause_is_unsat():
     assert s.solve().status == UNSAT
 
 
+def test_negative_variable_count_rejected():
+    with pytest.raises(ValueError, match="variable count"):
+        CdclSolver(-2)
+
+
 def test_conflicting_units_unsat():
     s = fresh([[4], [-4]])
     assert s.solve().status == UNSAT
