@@ -16,6 +16,16 @@ y-children fit in subset j), b (subset i shares output o), then q (subset i
 is used; integer renderings only, never in a clause).  Constant tables are
 folded at emission time: clauses and rows that a constant satisfies are
 dropped and constant literals never appear.
+
+The CNF can be solved by branching on the R block alone.  Only two schemas
+hold a negative a or b literal: ZIP1 `[-a, -R, R']` and OUT1 `[-b, -R]`.
+ZIP2 and OUT2 hold only positive a/b literals, and valid-cover clauses and
+size bans hold only R literals.  So once every R variable is assigned and
+unit propagation is quiet, each ZIP1 and OUT1 clause is either satisfied
+by its R literals or has already forced its a/b literal false, and setting
+every still unassigned a/b variable true satisfies ZIP2 and OUT2 as well.
+Clauses a solver learns are implied by these, so the completed assignment
+satisfies them too.  `VarLayout.n_cover_vars` is the size of that block.
 """
 from __future__ import annotations
 
@@ -85,6 +95,12 @@ class VarLayout:
     def _check_i(self, i):
         if not 1 <= i <= self.k:
             raise ValueError(f"subset index {i} outside 1..{self.k}")
+
+    @property
+    def n_cover_vars(self):
+        """Size of the R block, ids 1..n_cover_vars: the only variables a
+        solver needs to branch on (see the module docstring)."""
+        return self._a_base
 
     @property
     def num_cnf_vars(self):
@@ -163,30 +179,35 @@ def valid_cover_clauses(layout: VarLayout, lazy: bool):
     return [[layout.r_index(i, v) for i in range(1, k + 1)] for v in states]
 
 
-def zip1_clauses_for_state(layout: VarLayout, v, y):
+def zip1_clauses_for_state(layout: VarLayout, v, y, k=None):
     """For every subset pair (i, j): if subset i claims state v and routes its
     y-children to subset j, then v's y-child is in subset j.  Empty when v has
-    no y-child (the constant makes every instance vacuous)."""
+    no y-child (the constant makes every instance vacuous).  Covers slots
+    1..k, by default the layout's whole range."""
     child = layout.child(v, y)
     if child is None:
         return []
-    k, n = layout.k, layout.n
+    n, stride = layout.n, layout.k
+    if k is None:
+        k = stride
     ny = len(layout.obs)
     ypos = layout._obs_pos[y]
     a_base = layout._a_base
     out = []
     for i in range(1, k + 1):
         r_iv = (i - 1) * n + v + 1
-        row = a_base + (i - 1) * k * ny + ypos + 1
+        row = a_base + (i - 1) * stride * ny + ypos + 1
         for j in range(1, k + 1):
             a_ijy = row + (j - 1) * ny
             out.append([-a_ijy, -r_iv, (j - 1) * n + child + 1])
     return out
 
 
-def zip2_clauses_for_obs(layout: VarLayout, y):
-    """Every subset routes its y-children somewhere."""
-    k = layout.k
+def zip2_clauses_for_obs(layout: VarLayout, y, k=None):
+    """Every subset routes its y-children somewhere, over slots 1..k (by
+    default the layout's whole range)."""
+    if k is None:
+        k = layout.k
     return [[layout.a_index(i, j, y) for j in range(1, k + 1)]
             for i in range(1, k + 1)]
 

@@ -18,6 +18,10 @@ bug.  The lazy `lazy-sat` method withholds the children-containment
 ("zip") clauses and loads them in groups only when a proposed cover
 actually violates the zip condition, which keeps the loaded formula a
 fraction of the full one on filters with many observations.
+
+Both methods branch on the R block only (the cover itself); the solver
+completes the routing and output witnesses, which `filtermin.encoding`
+shows is sound for its CNF.
 """
 from __future__ import annotations
 
@@ -107,29 +111,33 @@ class MinimizeReport:
         return rows
 
 
-def _load_zip_groups(solver, layout, cover, violation, loaded_obs,
+def _load_zip_groups(solver, layout, cover, violation, k, loaded_obs,
                      loaded_pairs) -> bool:
     """Load the zip groups behind one violation; False if none were new.
 
     A violated (subset, observation) pair loads the routing clauses for
     that observation plus the containment clauses for the subset's member
-    states.  Groups are sized to the initial bound and persist across bans;
-    root simplification inside the solver prunes the parts that mention
-    banned slots.
+    states.  Groups cover slots 1..k for the bound k in force when the
+    observation's routing clauses first load, recorded in `loaded_obs`:
+    slots above it are banned, and every later containment group for that
+    observation uses the same bound, so each routing witness a routing
+    clause names is constrained.  Groups persist across bans; root
+    simplification inside the solver prunes the parts that mention banned
+    slots.
     """
     i, y = violation
     progress = False
     if y not in loaded_obs:
-        loaded_obs.add(y)
+        loaded_obs[y] = k
         progress = True
-        for clause in zip2_clauses_for_obs(layout, y):
+        for clause in zip2_clauses_for_obs(layout, y, k):
             solver.add_clause(clause)
     for v in sorted(cover.subsets[i]):
         if layout.child(v, y) is None or (v, y) in loaded_pairs:
             continue
         loaded_pairs.add((v, y))
         progress = True
-        for clause in zip1_clauses_for_state(layout, v, y):
+        for clause in zip1_clauses_for_state(layout, v, y, loaded_obs[y]):
             solver.add_clause(clause)
     return progress
 
@@ -153,10 +161,11 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         budget = Budget(None)
     budget.start()
     layout = build_layout(flt, flt.n_states)
-    solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed)
+    solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed,
+                        decision_vars=layout.n_cover_vars)
     for clause in build_cnf(layout, lazy=lazy).clauses:
         solver.add_clause(clause)
-    loaded_obs = set()
+    loaded_obs = {}             # observation -> bound its groups cover
     loaded_pairs = set()        # (state, obs) with containment clauses in
     best = None
     iterations = []
@@ -173,7 +182,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
                 best = cover
                 break
             if not (lazy and _load_zip_groups(solver, layout, cover, violation,
-                                              loaded_obs, loaded_pairs)):
+                                              k, loaded_obs, loaded_pairs)):
                 raise RuntimeError(
                     "zip violation with all groups loaded; encoding bug")
         iterations.append(IterationStat(

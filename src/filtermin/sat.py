@@ -21,12 +21,26 @@ lists are the record of activity: watches[v] is None exactly while v is
 inactive.  So on a formula loaded lazily into a large layout, set-up,
 branching and models scale with the loaded formula, not with `num_vars`.
 
-Branching keeps one invariant: every active, unassigned variable has an
-entry in the VSIDS heap carrying its current activity.  Variables
+Branching is restricted to the decision variables 1..decision_vars (all
+variables by default), as in MiniSat's decision-variable flag.  It keeps
+one invariant: every active, unassigned decision variable has an entry in
+the VSIDS heap carrying its current activity.  Decision variables
 activated since the last solve enter the heap when the next solve starts,
-backtracking pushes every variable it unassigns, and bumps push the new
+backtracking pushes every one it unassigns, and bumps push the new
 activity.  Older entries go stale and are skipped when popped, so a
-drained heap means every active variable is assigned.
+drained heap means every active decision variable is assigned.  Stale
+entries are also dropped in bulk: once the heap holds more than twice as
+many entries as there are active variables, backtracking rebuilds it from
+the unassigned decision variables.  That changes no pick, since a pick
+skips stale entries anyway, and it bounds the heap however long a search
+runs.
+
+A solve answers SAT when the heap is drained and propagation is quiet.
+Variables above decision_vars may then still be unassigned, and the model
+reports every such active variable as true.  This is a satisfying model
+only for formulas where completing with true is sound, which the caller
+must know: `filtermin.encoding` states why its CNF is one when the R block
+is the decision set.  With the default, every active variable is assigned.
 
 Models are partial: only active variables are reported.  Callers read
 them with .get(var, False).
@@ -67,10 +81,17 @@ class SolveOutcome:
 
 
 class CdclSolver:
-    def __init__(self, num_vars: int, seed: int = 0):
+    def __init__(self, num_vars: int, seed: int = 0,
+                 decision_vars: Optional[int] = None):
         if num_vars < 0:
             raise ValueError(f"variable count must be >= 0, got {num_vars}")
+        if decision_vars is None:
+            decision_vars = num_vars
+        elif not 0 <= decision_vars <= num_vars:
+            raise ValueError(f"decision variables must be 0..{num_vars}, "
+                             f"got {decision_vars}")
         self.num_vars = num_vars
+        self.decision_vars = decision_vars   # branch on 1..decision_vars only
         lits, nv = 2 * num_vars + 1, num_vars + 1
         self.values = [0] * lits       # lit-indexed: 1 true, -1 false, 0 unset
         self.watches = [None] * lits   # lit-indexed lists of clauses watching lit
@@ -182,15 +203,19 @@ class CdclSolver:
         activity = self.activity
         heap = self.heap
         push = heapq.heappush
+        decision_vars = self.decision_vars
         for lit in self.trail[bound:]:
             values[lit] = 0
             values[-lit] = 0
             v = lit if lit > 0 else -lit
             reason[v] = None
-            push(heap, (-activity[v], v))
+            if v <= decision_vars:
+                push(heap, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
+        if len(heap) > 2 * len(self.active_vars):
+            self._rebuild_heap()
 
     # -- propagation ---------------------------------------------------------
 
@@ -240,7 +265,7 @@ class CdclSolver:
         self.activity[v] = act
         if act > _RESCALE_LIMIT:
             self._rescale()
-        else:
+        elif v <= self.decision_vars:
             heapq.heappush(self.heap, (-act, v))
 
     def _rescale(self):
@@ -249,9 +274,15 @@ class CdclSolver:
             activity[v] *= _RESCALE_FACTOR
         self.var_inc *= _RESCALE_FACTOR
         self._rescales += 1
+        self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        """One current entry per active, unassigned decision variable."""
+        activity = self.activity
         values = self.values
+        decision_vars = self.decision_vars
         self.heap = [(-activity[v], v) for v in self.active_vars
-                     if values[v] == 0]
+                     if v <= decision_vars and values[v] == 0]
         heapq.heapify(self.heap)
 
     def _analyze(self, confl):
@@ -312,11 +343,13 @@ class CdclSolver:
         return None
 
     def _heap_new_vars(self):
-        """Give the variables activated since the last solve heap entries."""
+        """Give the decision variables activated since the last solve heap
+        entries."""
         values = self.values
         activity = self.activity
+        decision_vars = self.decision_vars
         new = [(-activity[v], v) for v in self.active_vars[self._heaped:]
-               if values[v] == 0]
+               if v <= decision_vars and values[v] == 0]
         self._heaped = len(self.active_vars)
         if len(new) > len(self.heap):
             new += self.heap
@@ -361,7 +394,9 @@ class CdclSolver:
 
         Returns to decision level 0 before returning, whatever the outcome,
         so the solver stays usable for further clauses and calls.  UNSAT is
-        permanent; later calls return it immediately.
+        permanent; later calls return it immediately.  A SAT model reports
+        active variables left unassigned (only possible above
+        decision_vars) as true.
         """
         self.stats = stats = SolveStats()
         if self.unsat:
@@ -409,7 +444,7 @@ class CdclSolver:
                 lit = self._pick_branch()
                 if lit is None:
                     values = self.values
-                    model = {v: values[v] == 1 for v in self.active_vars}
+                    model = {v: values[v] != -1 for v in self.active_vars}
                     self._backtrack(0)
                     return SolveOutcome(SAT, model, stats)
                 stats.decisions += 1

@@ -76,6 +76,15 @@ def small_filters(draw):
     return flt
 
 
+def max_slot(layout, clauses):
+    """Highest subset slot any literal of `clauses` names (0 for none)."""
+    slots = [0]
+    for lit in (lit for c in clauses for lit in c):
+        block, *coords = layout.decode(abs(lit))
+        slots += coords[:2] if block == "a" else coords[:1]
+    return max(slots)
+
+
 @st.composite
 def covers_for(draw, flt, allow_empty_subsets=True):
     k = draw(st.integers(1, flt.n_states))

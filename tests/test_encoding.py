@@ -1,14 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from filtermin import (Cover, assignment_satisfies, ban_size_units, build_cnf,
-                       build_layout, common_outputs, cover_from_model,
-                       eval_ilp, eval_inp, extension_from_cover, write_lp)
+from filtermin import (SAT, UNSAT, CdclSolver, CnfFormula, Cover, GenParams,
+                       GenerationError, assignment_satisfies, ban_size_units,
+                       build_cnf, build_layout, common_outputs,
+                       cover_from_model, eval_ilp, eval_inp,
+                       extension_from_cover, find_zip_violation, generate,
+                       write_lp)
+from filtermin.bench import MEDIUM_SHAPE
 from filtermin.encoding import (out1_clauses, out2_clauses,
                                 valid_cover_clauses, zip1_clauses_for_state,
                                 zip2_clauses_for_obs)
+from filtermin.rng import derive
 
-from conftest import covers_for, small_filters
+from conftest import covers_for, max_slot, small_filters
 
 
 def lp_shape(text):
@@ -126,6 +131,24 @@ def test_eager_clause_order(twocolor):
     assert [len(block) for block in zip2] == [2, 2]
 
 
+def test_zip_groups_sized_to_a_bound(twocolor):
+    lay = build_layout(twocolor, 4)
+    for k in range(1, 5):
+        for v, y in lay.live_edges:
+            zip1 = zip1_clauses_for_state(lay, v, y, k)
+            assert len(zip1) == k * k and max_slot(lay, zip1) == k
+        for y in lay.obs:
+            zip2 = zip2_clauses_for_obs(lay, y, k)
+            assert len(zip2) == k and all(len(c) == k for c in zip2)
+            assert max_slot(lay, zip2) == k
+    # the default is the layout's whole range, so the eager formula and the
+    # exports keep their clauses
+    v, y = lay.live_edges[0]
+    assert zip1_clauses_for_state(lay, v, y) == \
+        zip1_clauses_for_state(lay, v, y, 4)
+    assert zip2_clauses_for_obs(lay, y) == zip2_clauses_for_obs(lay, y, 4)
+
+
 def test_lazy_base_has_per_state_cover_clauses(twocolor):
     lay = build_layout(twocolor, 2)
     lazy = build_cnf(lay, lazy=True)
@@ -148,6 +171,71 @@ def test_self_loop_zip1_contains_tautology(chain3):
 def test_ban_units(twocolor):
     lay = build_layout(twocolor, 2)
     assert ban_size_units(lay, 2) == [[-lay.r_index(2, v)] for v in range(4)]
+
+
+def medium_filters(count):
+    out = []
+    j = 0
+    while len(out) < count:
+        try:
+            out.append(generate(GenParams(seed=derive(0xC0B1E7, j),
+                                          **MEDIUM_SHAPE)))
+        except GenerationError:
+            pass
+        j += 1
+    return out
+
+
+def descent_models(flt, lazy):
+    """Descend like `minimize`, branching on the R block only, and check
+    every SAT model against every clause loaded so far, bans included."""
+    lay = build_layout(flt, flt.n_states)
+    solver = CdclSolver(lay.num_cnf_vars, seed=3,
+                        decision_vars=lay.n_cover_vars)
+    loaded = CnfFormula(lay.num_cnf_vars, [])
+    group_k, pairs = {}, set()
+
+    def load(clauses):
+        for c in clauses:
+            solver.add_clause(c)
+        loaded.clauses.extend(clauses)
+
+    load(build_cnf(lay, lazy=lazy).clauses)
+    k, models = lay.k, 0
+    while k >= 1:
+        out = solver.solve()
+        if out.status == UNSAT:
+            break
+        assert out.status == SAT
+        assert assignment_satisfies(loaded, out.model)
+        models += 1
+        cover = cover_from_model(lay, out.model)
+        violation = find_zip_violation(cover)
+        if violation is not None:
+            assert lazy
+            i, y = violation
+            new = []
+            if y not in group_k:
+                group_k[y] = k
+                new += zip2_clauses_for_obs(lay, y, k)
+            for v in cover.subsets[i] - {v for v, z in pairs if z == y}:
+                pairs.add((v, y))
+                new += zip1_clauses_for_state(lay, v, y, group_k[y])
+            assert new
+            load(new)
+            continue
+        load([u for slot in range(cover.size, k + 1)
+              for u in ban_size_units(lay, slot)])
+        k = cover.size - 1
+    return models
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_cover_branching_models_complete_to_satisfying(lazy):
+    # the completion property of the module docstring: branching on R and
+    # reporting unassigned a/b variables true satisfies the loaded formula
+    models = sum(descent_models(flt, lazy) for flt in medium_filters(20))
+    assert models >= 40
 
 
 # -- assignments ---------------------------------------------------------------

@@ -4,11 +4,13 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, is_deterministic,
-                       is_zipped, minimize, output_simulates)
+from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, GenParams, generate,
+                       is_deterministic, is_zipped, minimize, output_simulates)
+from filtermin.bench import MEDIUM_SHAPE
 from filtermin.filters import Filter
+from filtermin.rng import derive
 
-from conftest import small_filters
+from conftest import max_slot, small_filters
 
 
 def check_report(report, flt):
@@ -117,6 +119,41 @@ def test_eager_zip_violation_is_an_encoding_bug(twocolor, monkeypatch):
                         lambda layout, v, y: [])
     with pytest.raises(RuntimeError, match="encoding bug"):
         minimize(twocolor, method=METHOD_SAT)
+
+
+def test_lazy_groups_sized_to_the_bound_in_force(monkeypatch):
+    module = importlib.import_module("filtermin.minimize")
+    flt = generate(GenParams(seed=derive(0x51CE, 0), **MEDIUM_SHAPE))
+    bound = [flt.n_states]
+    obs_bound = {}
+    loads = []
+
+    def ban(layout, slot, ban_size_units=module.ban_size_units):
+        bound[0] = min(bound[0], slot - 1)
+        return ban_size_units(layout, slot)
+
+    def zip2(layout, y, k, zip2=module.zip2_clauses_for_obs):
+        out = zip2(layout, y, k)
+        assert y not in obs_bound and max_slot(layout, out) == k == bound[0]
+        obs_bound[y] = k
+        loads.append(k)
+        return out
+
+    def zip1(layout, v, y, k, zip1=module.zip1_clauses_for_state):
+        out = zip1(layout, v, y, k)
+        # the bound its observation's routing clauses were loaded at
+        assert max_slot(layout, out) == k == obs_bound[y]
+        loads.append(k)
+        return out
+
+    monkeypatch.setattr(module, "ban_size_units", ban)
+    monkeypatch.setattr(module, "zip2_clauses_for_obs", zip2)
+    monkeypatch.setattr(module, "zip1_clauses_for_state", zip1)
+    report = minimize(flt, method=METHOD_LAZY)
+    assert report.proven_minimal
+    assert report.iterations[0].best_size < flt.n_states
+    assert loads and max(loads) < flt.n_states
+    check_report(report, flt)
 
 
 def test_rejects_nondeterministic_input():

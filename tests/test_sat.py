@@ -218,6 +218,16 @@ def test_per_variable_work_follows_the_loaded_formula():
         assert s.watches[v] is None and s.watches[-v] is None
 
 
+def assert_heap_invariant(s):
+    """Every active unassigned decision variable has a current entry, and
+    no other variable has any."""
+    entries = set(s.heap)
+    for v in s.active_vars:
+        if v <= s.decision_vars and s.values[v] == 0:
+            assert (-s.activity[v], v) in entries
+    assert all(v <= s.decision_vars for _, v in entries)
+
+
 def test_rescale_keeps_heap_and_jitter_scaled():
     cls = random_3cnf(60, 250, derive(0x5CA1E, 0))
     s = CdclSolver(num_vars=70, seed=7)
@@ -228,10 +238,77 @@ def test_rescale_keeps_heap_and_jitter_scaled():
     assert out.status == SAT and out.stats.conflicts == 14
     assert model_satisfies(cls, out.model)
     assert s.var_inc < 1
-    entries = set(s.heap)
-    for v in s.active_vars:
-        if s.values[v] == 0:
-            assert (-s.activity[v], v) in entries
+    assert_heap_invariant(s)
     # a variable activated after the rescale gets its jitter scaled too
     s.add_clause([65, -66])
     assert s.activity[65] == (derive(7, 65) % 997) * 1e-12 * 1e-100
+    # the same after a rescale under restricted branching; the pigeons of
+    # the last row are never decided, only propagated
+    s = CdclSolver(num_vars=20, seed=7, decision_vars=16)
+    for c in php_clauses(5, 4):
+        s.add_clause(c)
+    s.var_inc = 1e99
+    assert s.solve().status == UNSAT
+    assert s.var_inc < 1
+    assert_heap_invariant(s)
+
+
+def test_decision_vars_outside_the_range_rejected():
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="decision variables"):
+            CdclSolver(5, decision_vars=bad)
+    assert CdclSolver(5, decision_vars=0).decision_vars == 0
+    assert CdclSolver(5).decision_vars == 5
+
+
+def test_unassigned_non_decision_vars_read_true():
+    s = CdclSolver(4, decision_vars=2)
+    for c in ([1], [-1, -3], [2, 3, 4]):
+        s.add_clause(c)
+    out = s.solve()
+    assert out.status == SAT
+    # 1 is a root unit; 2 is decided, at its default phase, and is the only
+    # decision; then [2, 3, 4] forces 4, while -3 came from [-1, -3]
+    assert out.stats.decisions == 1
+    assert out.model == {1: True, 2: False, 3: False, 4: True}
+    # with 3 no longer forced, neither 3 nor 4 is ever assigned: both are
+    # reported true, the decision variables as assigned
+    s = CdclSolver(4, decision_vars=2)
+    for c in ([1], [2, 3, 4]):
+        s.add_clause(c)
+    out = s.solve()
+    assert out.status == SAT and out.stats.decisions == 1
+    assert out.model == {1: True, 2: False, 3: True, 4: True}
+
+
+def test_default_branching_counters_pinned():
+    # criterion 8's rerun instance: branching on every variable keeps the
+    # search it had before decision variables existed
+    s = CdclSolver(50, seed=99)
+    for c in random_3cnf(50, 180, 0xF1DE):
+        s.add_clause(c)
+    out = s.solve()
+    assert out.status == SAT
+    assert (out.stats.decisions, out.stats.conflicts) == (22, 11)
+
+
+class HeapWatch(CdclSolver):
+    """Records the largest heap any branching decision sees."""
+
+    max_heap = 0
+
+    def _pick_branch(self):
+        self.max_heap = max(self.max_heap, len(self.heap))
+        return super()._pick_branch()
+
+
+def test_heap_stays_bounded_on_long_search():
+    s = HeapWatch(30, seed=7)
+    for c in php_clauses(6, 5):
+        s.add_clause(c)
+    out = s.solve()
+    assert out.status == UNSAT and out.stats.conflicts > 100
+    # stale entries are dropped once they outnumber twice the active
+    # variables: without that this run ends with thousands of entries
+    bound = 2 * len(s.active_vars)
+    assert s.max_heap <= bound and len(s.heap) <= bound
