@@ -1,11 +1,13 @@
 """Minimization of deterministic filtering automata via zipped covers."""
 
 from .filters import (CRASH, Cover, Filter, SimulationVerdict, canonical_key,
-                      children_of_set, colors_of, common_outputs, determinize,
-                      find_zip_violation, identity_cover, induced_filter,
+                      children_of_set, clique_lower_bound, colors_of,
+                      common_outputs, determinize, find_zip_violation,
+                      identity_cover, incompatible_pairs, induced_filter,
                       interaction_alive, is_deterministic, is_zipped,
-                      output_simulates, reachable_states, sample_language,
-                      strip_unreachable, trace)
+                      output_simulates, partition_cover, reachable_states,
+                      require_minimizable, sample_language, strip_unreachable,
+                      trace)
 from .encoding import (CnfFormula, FeasibilityReport, VarLayout,
                        assignment_satisfies, ban_size_units, build_cnf,
                        build_layout, cover_from_model, eval_ilp, eval_inp,

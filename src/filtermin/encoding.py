@@ -33,7 +33,7 @@ import io
 from dataclasses import dataclass
 
 from .filters import (Cover, Filter, children_of_set, common_outputs,
-                      is_deterministic, reachable_states)
+                      require_minimizable)
 
 
 class VarLayout:
@@ -48,10 +48,7 @@ class VarLayout:
     def __init__(self, flt: Filter, k: int):
         if k < 1:
             raise ValueError("layout needs k >= 1")
-        if not is_deterministic(flt):
-            raise ValueError("layout needs a deterministic filter")
-        if reachable_states(flt) != frozenset(range(flt.n_states)):
-            raise ValueError("layout needs every state reachable")
+        require_minimizable(flt)
         self.filter = flt
         self.k = k
         self.n = flt.n_states

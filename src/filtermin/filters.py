@@ -13,10 +13,16 @@ This module keeps all value-level semantics in one place:
 
 * tracing and outputs: the observation-children and the colors of a state
   set (`children_of_set`, `outputs_of`), `trace` and `colors_of`,
-* determinism checking and subset-construction determinization,
+* determinism checking, subset-construction determinization, and the
+  input check minimization makes (`require_minimizable`),
 * output simulation between two filters (`output_simulates`),
 * vertex covers and their machinery: zipped-ness, common outputs, and the
-  smaller filter induced by a zipped cover.
+  smaller filter induced by a zipped cover,
+* bounds on the size of a valid zipped cover, which are facts about the
+  filter rather than constraints: Paull-Unger incompatible state pairs
+  (`incompatible_pairs`), a greedy clique of them as the lower bound
+  (`clique_lower_bound`), and a Moore-refinement partition as a cover
+  that always works (`partition_cover`).
 
 Filters and covers are immutable values; every operation here is read-only.
 """
@@ -180,6 +186,17 @@ def is_deterministic(f: Filter) -> bool:
     """One initial state and at most one y-child per (state, observation)."""
     return (len(f.initial) == 1
             and all(len(dsts) == 1 for dsts in f.succ.values()))
+
+
+def require_minimizable(f: Filter) -> None:
+    """Raise ValueError unless `f` is deterministic and fully reachable.
+
+    Minimization, its size bounds and its constraint layouts assume both.
+    """
+    if not is_deterministic(f):
+        raise ValueError("minimization needs a deterministic filter")
+    if reachable_states(f) != frozenset(range(f.n_states)):
+        raise ValueError("minimization needs every state reachable")
 
 
 def determinize(f: Filter) -> Filter:
@@ -429,6 +446,99 @@ def induced_filter(cover: Cover) -> Filter:
                   observations=f.observations, succ=succ,
                   colors=f.colors, coloring=coloring,
                   name=f.name + "_induced")
+
+
+# ---------------------------------------------------------------------------
+# bounds on the size of a valid zipped cover
+
+def incompatible_pairs(f: Filter) -> frozenset:
+    """Pairs (u, w), u < w, that no subset of a zipped cover can hold.
+
+    Paull-Unger closure: u and w are incompatible when they share no color,
+    or when some observation leads them to an incompatible pair.  A subset
+    of a zipped cover shares a color and sends its y-children into one
+    subset, so by induction its members are pairwise compatible.  Computed
+    by a backward worklist from the color-disjoint pairs over a predecessor
+    table keyed by (child, observation).
+    """
+    preds = {}
+    for (v, y), dsts in f.succ.items():
+        for c in dsts:
+            preds.setdefault(c, {}).setdefault(y, []).append(v)
+    pairs = {(u, w) for u in range(f.n_states)
+             for w in range(u + 1, f.n_states)
+             if f.coloring[u].isdisjoint(f.coloring[w])}
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        into_b = preds.get(b, {})
+        for y, ps in preds.get(a, {}).items():
+            for q in into_b.get(y, ()):
+                for p in ps:
+                    pair = (p, q) if p < q else (q, p)
+                    if p != q and pair not in pairs:
+                        pairs.add(pair)
+                        work.append(pair)
+    return frozenset(pairs)
+
+
+def clique_lower_bound(f: Filter) -> tuple:
+    """Sorted pairwise-incompatible states: a lower bound on cover size.
+
+    A valid cover holds every state, and incompatible states need distinct
+    subsets, so every valid zipped cover has at least this many subsets.
+    Greedy: each state seeds a clique in turn, in order of falling
+    incompatibility degree, and grows it by the states in that same order
+    that are incompatible with every member so far; the largest is kept.
+    """
+    adj = [0] * f.n_states
+    for u, w in incompatible_pairs(f):
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    order = sorted(range(f.n_states), key=lambda v: (-adj[v].bit_count(), v))
+    best = []
+    for seed in order:
+        clique, common = [seed], adj[seed]
+        for v in order:
+            if common >> v & 1:
+                clique.append(v)
+                common &= adj[v]
+        if len(clique) > len(best):
+            best = clique
+    return tuple(sorted(best))
+
+
+def partition_cover(f: Filter) -> Cover:
+    """A valid zipped cover of at most |V| subsets, by Moore refinement.
+
+    Classes start from each state's smallest color, then split on the class
+    of each state's y-child for every observation y, "no y-child" being a
+    class of its own, until the number of classes stops growing.  At that
+    point every class shares a color and sends its y-children into one
+    class.  Classes are numbered in order of their lowest state.
+    """
+    if not is_deterministic(f):
+        raise ValueError("partition_cover needs a deterministic filter")
+
+    def number(keys):
+        ids = {}
+        return [ids.setdefault(key, len(ids)) for key in keys]
+
+    states = range(f.n_states)
+    block = number(min(f.coloring[v]) for v in states)
+    while True:
+        finer = number(
+            (block[v],) + tuple(block[f.succ[(v, y)][0]]
+                                if (v, y) in f.succ else -1
+                                for y in f.observations)
+            for v in states)
+        if max(finer) == max(block):
+            break
+        block = finer
+    classes = [[] for _ in range(max(block) + 1)]
+    for v in states:
+        classes[block[v]].append(v)
+    return Cover(tuple(classes), f)
 
 
 # ---------------------------------------------------------------------------

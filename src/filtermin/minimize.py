@@ -1,15 +1,23 @@
 """Anytime minimization: shrink a size bound with one incremental solver.
 
-One descent loop serves both methods.  It builds the constraint system
-once at bound k = |V|, then for each bound solves, decodes the model into
-a cover and checks the zip condition.  An accepted cover of size s bans
-every slot from s up to k with unit clauses, and the loop re-solves at
-k = s - 1, reusing everything the solver has learned.  This jump is sound
-because every clause schema is symmetric under slot permutation: any
-cover smaller than s fits in slots 1..s-1.  So every accepted cover is
-smaller than the one before it.  An unsatisfiable step proves the last
-cover minimal; running out of budget still leaves the best cover found
-so far.  The budget covers the whole call, formula build and solver load
+Two facts about the filter frame the search before any clause is built.
+Its Moore partition (`partition_cover`) is a valid zipped cover, so it is
+the first best cover and the fallback when no SAT answer arrives.  A
+clique of pairwise-incompatible states (`clique_lower_bound`) needs that
+many subsets in any valid zipped cover, so no cover can be smaller.  When
+the two meet the call is proven at once, with no solver.
+
+Otherwise one descent loop serves both methods.  It builds the constraint
+system once at bound k = partition size - 1, then for each bound solves,
+decodes the model into a cover and checks the zip condition.  An accepted
+cover of size s bans every slot from s up to k with unit clauses, and the
+loop re-solves at k = s - 1, reusing everything the solver has learned.
+This jump is sound because every clause schema is symmetric under slot
+permutation: any cover smaller than s fits in slots 1..s-1.  So every
+accepted cover is smaller than the one before it.  The descent stops
+proven when k falls below the clique bound or a bound is unsatisfiable;
+running out of budget still leaves the best cover found so far.  The
+budget covers the whole call, bounds, formula build and solver load
 included.
 
 The methods differ only in what is loaded up front.  The eager `sat`
@@ -25,6 +33,7 @@ shows is sound for its CNF.
 """
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -32,8 +41,8 @@ from typing import Optional
 from .encoding import (build_cnf, build_layout, ban_size_units,
                        cover_from_model, zip1_clauses_for_state,
                        zip2_clauses_for_obs)
-from .filters import (Cover, Filter, find_zip_violation, identity_cover,
-                      induced_filter)
+from .filters import (Cover, Filter, clique_lower_bound, find_zip_violation,
+                      induced_filter, partition_cover, require_minimizable)
 from .sat import SAT, UNSAT, CdclSolver
 
 METHOD_SAT = "sat"
@@ -87,6 +96,7 @@ class MinimizeReport:
     best_cover: Cover
     best_filter: Filter
     proven_minimal: bool
+    lower_bound: int
     iterations: tuple
     zip_obs_loaded: int = 0
     zip_pairs_loaded: int = 0
@@ -103,6 +113,7 @@ class MinimizeReport:
 
     def summary_lines(self):
         head = (f"method={self.method} best_size={self.best_size} "
+                f"lower_bound={self.lower_bound} "
                 f"proven={self.proven_minimal}")
         rows = [head]
         for it in self.iterations:
@@ -144,15 +155,21 @@ def _load_zip_groups(solver, layout, cover, violation, k, loaded_obs,
 
 def minimize(flt: Filter, method: str = METHOD_SAT,
              budget: Optional[Budget] = None, seed: int = 0) -> MinimizeReport:
-    """Descend the size bound from |V| until UNSAT, k = 0 or the budget ends.
+    """Descend the size bound from the partition cover to the clique bound.
 
-    Each bound runs solve, decode and zip check; a violation reloads zip
-    groups and solves again, an accepted cover of size s bans every slot
-    from s up to k and the descent continues at k = s - 1.  Every reload
-    round strictly grows the loaded set, so the inner loop terminates.
-    Under `sat` every group is loaded up front and a violation is an
-    encoding bug.  The budget starts before the build; if the build and
-    load use it up, the first solve answers unknown at once.
+    The partition cover is the first best cover and the clique bound the
+    lower bound; when they meet the call returns proven with no solver and
+    no iteration row.  Otherwise the descent starts one below the partition
+    size.  Each bound runs solve, decode and zip check; a violation reloads
+    zip groups and solves again, an accepted cover of size s bans every
+    slot from s up to k and the descent continues at k = s - 1.  Every
+    reload round strictly grows the loaded set, so the inner loop
+    terminates.  The descent ends proven when k falls below the lower bound
+    or a bound is unsatisfiable, and unproven when the budget ends, with
+    the best cover so far (the partition cover if the solver accepted
+    none).  Under `sat` every group is loaded up front and a violation is
+    an encoding bug.  The budget starts before the bounds and the build; if
+    they use it up, the first solve answers unknown at once.
     """
     if method not in (METHOD_SAT, METHOD_LAZY):
         raise ValueError(f"unknown method {method!r}")
@@ -160,17 +177,18 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
     if budget is None:
         budget = Budget(None)
     budget.start()
-    layout = build_layout(flt, flt.n_states)
-    solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed,
-                        decision_vars=layout.n_cover_vars)
-    for clause in build_cnf(layout, lazy=lazy).clauses:
-        solver.add_clause(clause)
+    require_minimizable(flt)
+    best = partition_cover(flt)
+    lower = len(clique_lower_bound(flt))
     loaded_obs = {}             # observation -> bound its groups cover
     loaded_pairs = set()        # (state, obs) with containment clauses in
-    best = None
     iterations = []
-    k = layout.k
-    while k >= 1:
+    accepted = None             # smallest cover the solver produced
+    proven = True
+    k = best.size - 1
+    if k >= lower:
+        layout, solver = _load(flt, k, lazy, seed)
+    while k >= lower:
         t0 = time.monotonic()
         while True:
             out = solver.solve(budget.remaining())
@@ -179,7 +197,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
             cover = cover_from_model(layout, out.model)
             violation = find_zip_violation(cover)
             if violation is None:
-                best = cover
+                best = accepted = cover
                 break
             if not (lazy and _load_zip_groups(solver, layout, cover, violation,
                                               k, loaded_obs, loaded_pairs)):
@@ -188,7 +206,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         iterations.append(IterationStat(
             k=k, outcome=out.status, elapsed_s=time.monotonic() - t0,
             clauses_in_solver=solver.n_problem,
-            best_size=best.size if best else None))
+            best_size=accepted.size if accepted else None))
         if out.status != SAT:
             proven = out.status == UNSAT
             break
@@ -196,12 +214,29 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
             for unit in ban_size_units(layout, slot):
                 solver.add_clause(unit)
         k = best.size - 1
-    else:
-        proven = True
-    if best is None:
-        best = identity_cover(flt)
-        proven = flt.n_states == 1
     return MinimizeReport(
         method=method, best_cover=best, best_filter=induced_filter(best),
-        proven_minimal=proven, iterations=tuple(iterations),
+        proven_minimal=proven, lower_bound=lower,
+        iterations=tuple(iterations),
         zip_obs_loaded=len(loaded_obs), zip_pairs_loaded=len(loaded_pairs))
+
+
+def _load(flt, k, lazy, seed):
+    """Layout at bound k and a solver loaded with its up-front clauses.
+
+    Cyclic garbage collection is off meanwhile: on large filters the build
+    makes up to a million long-lived clause lists, none of them in a
+    reference cycle, and collections would rescan them all.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        layout = build_layout(flt, k)
+        solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed,
+                            decision_vars=layout.n_cover_vars)
+        for clause in build_cnf(layout, lazy=lazy).clauses:
+            solver.add_clause(clause)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return layout, solver

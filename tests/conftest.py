@@ -31,6 +31,31 @@ def make_twocolor():
         [["g"], ["r"], ["r"], ["g"]], name="twocolor")
 
 
+def make_gap_unsat():
+    """4 states whose size bounds do not meet: the clique bound is 1 (no
+    two states are incompatible), the partition cover has 4 subsets and the
+    optimum is 2.  The descent runs k = 3 and 2 (both sat) and proves 2
+    with an unsat step at k = 1."""
+    return Filter.build(
+        4, [0],
+        [(0, "y1", 1), (1, "y0", 3), (1, "y1", 2), (1, "y2", 0),
+         (2, "y2", 2)],
+        [["o0", "o1"], ["o1", "o2"], ["o0", "o2"], ["o1", "o2"]],
+        observations=("y0", "y1", "y2"), name="gap_unsat")
+
+
+def make_gap_clique():
+    """4 states, clique bound 2, partition cover 4, optimum 2: the descent
+    runs k = 3 and 2 (both sat) and stops proven at the clique bound,
+    with no unsat step."""
+    return Filter.build(
+        4, [0],
+        [(0, "y0", 3), (0, "y1", 0), (0, "y2", 1), (1, "y1", 2),
+         (1, "y2", 0)],
+        [["o1"], ["o0"], ["o1"], ["o0"]], colors=("o0", "o1"),
+        name="gap_clique")
+
+
 @pytest.fixture
 def chain3():
     return make_chain3()
@@ -44,6 +69,16 @@ def chain3_wide():
 @pytest.fixture
 def twocolor():
     return make_twocolor()
+
+
+@pytest.fixture
+def gap_unsat():
+    return make_gap_unsat()
+
+
+@pytest.fixture
+def gap_clique():
+    return make_gap_clique()
 
 
 # shapes with 1 + layers*width <= 6 states

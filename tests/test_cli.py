@@ -26,6 +26,13 @@ def twocolor_path(tmp_path, twocolor):
 
 
 @pytest.fixture
+def gap_unsat_path(tmp_path, gap_unsat):
+    p = tmp_path / "gap_unsat.flt"
+    p.write_text(write_flt(gap_unsat))
+    return str(p)
+
+
+@pytest.fixture
 def nondet_path(tmp_path):
     p = tmp_path / "nondet.flt"
     p.write_text("filter nd\nstates 2\ninitial 0\ninitial 1\n"
@@ -56,9 +63,9 @@ def test_gen_check_minimize_pipeline(tmp_path, capsys):
     assert sizes["sat"] == sizes["lazy-sat"]
 
 
-def test_minimize_writes_stats_csv(tmp_path, capsys, twocolor_path):
+def test_minimize_writes_stats_csv(tmp_path, capsys, gap_unsat_path):
     stats = tmp_path / "stats.csv"
-    code, out, _ = run(capsys, "minimize", twocolor_path,
+    code, out, _ = run(capsys, "minimize", gap_unsat_path,
                        "--stats", str(stats))
     assert code == 0
     assert out.startswith("filter ")          # .flt on stdout by default
@@ -67,12 +74,22 @@ def test_minimize_writes_stats_csv(tmp_path, capsys, twocolor_path):
     assert len(lines) >= 2
 
 
-def test_minimize_timeout_zero_exits_three(capsys, twocolor_path):
-    code, out, err = run(capsys, "minimize", twocolor_path,
+def test_minimize_timeout_zero_exits_three(capsys, gap_unsat_path):
+    # the partition cover of this filter is no smaller than the input
+    code, out, err = run(capsys, "minimize", gap_unsat_path,
                          "--timeout-ms", "0")
     assert code == 3
     assert "proven=False" in err
-    assert parse_flt(out).n_states == 4       # identity fallback still emitted
+    assert parse_flt(out).n_states == 4       # partition fallback emitted
+
+
+def test_minimize_timeout_zero_can_still_prove(capsys, twocolor_path):
+    # twocolor's clique bound meets its partition cover: no solver needed
+    code, out, err = run(capsys, "minimize", twocolor_path,
+                         "--timeout-ms", "0")
+    assert code == 0
+    assert "lower_bound=3 proven=True" in err
+    assert parse_flt(out).n_states == 3
 
 
 def test_minimize_strips_unreachable_with_warning(tmp_path, capsys):

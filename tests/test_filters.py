@@ -1,11 +1,14 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
 from filtermin import (Cover, Filter, canonical_key, children_of_set,
-                       colors_of, common_outputs, determinize,
-                       find_zip_violation, identity_cover, induced_filter,
-                       interaction_alive, is_deterministic, is_zipped,
-                       output_simulates, reachable_states, sample_language,
+                       clique_lower_bound, colors_of, common_outputs,
+                       determinize, find_zip_violation, identity_cover,
+                       incompatible_pairs, induced_filter, interaction_alive,
+                       is_deterministic, is_zipped, output_simulates,
+                       partition_cover, reachable_states, sample_language,
                        strip_unreachable, trace)
 from filtermin.filters import CRASH, COLOR_ESCAPE, NONDETERMINISTIC
 from filtermin.rng import SplitMix64
@@ -255,3 +258,64 @@ def test_identity_cover_roundtrip_property(flt):
     g = induced_filter(identity_cover(flt))
     assert g.n_states == flt.n_states
     assert output_simulates(g, flt).holds
+
+
+# -- size bounds ---------------------------------------------------------------
+
+def separated_by_a_word(f, u, w):
+    """Independent check: a search over state pairs for an observation word
+    that leads u and w to two states with no common color."""
+    seen = {(u, w)}
+    queue = deque(seen)
+    while queue:
+        a, b = queue.popleft()
+        if not f.coloring[a] & f.coloring[b]:
+            return True
+        for y in f.observations:
+            for nxt in ((a2, b2) for a2 in f.children(a, y)
+                        for b2 in f.children(b, y)):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return False
+
+
+@given(small_filters())
+def test_incompatible_pairs_match_separating_words(flt):
+    n = flt.n_states
+    assert incompatible_pairs(flt) == {
+        (u, w) for u in range(n) for w in range(u + 1, n)
+        if separated_by_a_word(flt, u, w)}
+
+
+@given(small_filters())
+def test_bounds_are_sound_on_small_filters(flt):
+    cover = partition_cover(flt)
+    assert cover.is_valid() and is_zipped(cover)
+    assert cover.size <= flt.n_states
+    assert all(common_outputs(flt, group) for group in cover.subsets)
+    clique = clique_lower_bound(flt)
+    assert clique and list(clique) == sorted(set(clique))
+    pairs = incompatible_pairs(flt)
+    assert all((u, w) in pairs for i, u in enumerate(clique)
+               for w in clique[i + 1:])
+    assert len(clique) <= cover.size
+
+
+def test_bounds_of_the_hand_filters(chain3, twocolor):
+    assert incompatible_pairs(chain3) == frozenset()
+    assert clique_lower_bound(chain3) == (0,)
+    assert partition_cover(chain3).subsets == (frozenset({0, 1, 2}),)
+    # 0 and 3 are green, 1 and 2 red; 0 and 3 differ on a (red vs green)
+    assert incompatible_pairs(twocolor) == {(0, 1), (0, 2), (0, 3), (1, 3),
+                                            (2, 3)}
+    assert clique_lower_bound(twocolor) == (0, 1, 3)
+    assert partition_cover(twocolor).subsets == (
+        frozenset({0}), frozenset({1, 2}), frozenset({3}))
+
+
+def test_partition_cover_rejects_nondeterministic_filters():
+    bad = Filter.build(3, [0], [(0, "a", 1), (0, "a", 2)],
+                       [["g"], ["g"], ["g"]])
+    with pytest.raises(ValueError, match="deterministic"):
+        partition_cover(bad)

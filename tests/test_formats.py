@@ -133,13 +133,13 @@ def test_varmap_covers_cnf_vars_without_q(twocolor):
 
 # -- csv and dot ---------------------------------------------------------------
 
-def test_stats_csv_shape(twocolor):
-    report = minimize(twocolor, method=METHOD_SAT)
+def test_stats_csv_shape(gap_unsat):
+    report = minimize(gap_unsat, method=METHOD_SAT)
     lines = write_stats_csv(report).splitlines()
     assert lines[0] == STATS_HEADER
     assert len(lines) == 1 + len(report.iterations)
     first = lines[1].split(",")
-    assert first[0] == "sat" and first[1] == "4"
+    assert first[0] == "sat" and first[1] == "3"
     assert first[2] in ("sat", "unsat", "unknown")
     int(first[3]);  int(first[4])       # numeric columns parse
 
@@ -148,6 +148,13 @@ def test_stats_csv_empty_best_on_zero_budget(twocolor):
     report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.0))
     rows = write_stats_csv(report).splitlines()[1:]
     assert all(row.endswith(",") for row in rows)
+
+
+def test_stats_csv_empty_best_before_an_accepted_cover(gap_unsat):
+    # the partition cover is the report's best, not a row's
+    report = minimize(gap_unsat, method=METHOD_SAT, budget=Budget(0.0))
+    rows = write_stats_csv(report).splitlines()[1:]
+    assert rows and all(row.endswith(",") for row in rows)
 
 
 def test_dot_smoke(twocolor):

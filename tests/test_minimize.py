@@ -1,16 +1,20 @@
+import gc
 import importlib
 import time
 
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, GenParams, generate,
-                       is_deterministic, is_zipped, minimize, output_simulates)
+from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, GenParams,
+                       GenerationError, brute_minimal, generate,
+                       incompatible_pairs, is_deterministic, is_zipped,
+                       minimize, output_simulates, partition_cover)
 from filtermin.bench import MEDIUM_SHAPE
 from filtermin.filters import Filter
 from filtermin.rng import derive
 
 from conftest import max_slot, small_filters
+from test_acceptance import _small_corpus
 
 
 def check_report(report, flt):
@@ -36,12 +40,12 @@ def test_twocolor_minimizes_to_three(twocolor):
 
 
 @pytest.mark.parametrize("method", [METHOD_SAT, METHOD_LAZY])
-@pytest.mark.parametrize("name", ["chain3", "twocolor"])
+@pytest.mark.parametrize("name", ["gap_clique", "gap_unsat"])
 def test_iteration_shape(name, method, request):
     flt = request.getfixturevalue(name)
     report = minimize(flt, method=method)
     ks = [it.k for it in report.iterations]
-    assert ks[0] == flt.n_states
+    assert ks[0] == partition_cover(flt).size - 1
     assert all(a > b for a, b in zip(ks, ks[1:]))
     bests = [it.best_size for it in report.iterations if it.best_size]
     assert all(a >= b for a, b in zip(bests, bests[1:]))
@@ -50,24 +54,91 @@ def test_iteration_shape(name, method, request):
         if it.outcome == "sat":
             assert after.k == it.best_size - 1
     # proof comes from either an unsat step at best - 1 or a sat step at
-    # best 1, after which k = 0 needs no query
+    # the clique bound, below which no query is needed
     last = report.iterations[-1]
     if last.outcome == "unsat":
         assert last.k == report.best_size - 1
     else:
-        assert last.outcome == "sat" and report.best_size == 1
+        assert last.outcome == "sat" and report.best_size == report.lower_bound
     assert report.final_clause_count == last.clauses_in_solver
 
 
-def test_zero_budget_falls_back_to_identity(twocolor):
-    report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.0))
-    assert report.best_size == twocolor.n_states
-    assert not report.proven_minimal
-    check_report(report, twocolor)
-    assert all(it.outcome == "unknown" for it in report.iterations)
+@pytest.mark.parametrize("budget", [None, 0.0])
+@pytest.mark.parametrize("method", [METHOD_SAT, METHOD_LAZY])
+def test_meeting_bounds_prove_without_a_solver(chain3, twocolor, method,
+                                               budget, monkeypatch):
+    # chain3: clique 1 = partition 1; twocolor: clique 3 = partition 3
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+
+    monkeypatch.setattr(importlib.import_module("filtermin.minimize"),
+                        "build_layout", no_layout)
+    for flt, size in ((chain3, 1), (twocolor, 3)):
+        report = minimize(flt, method=method, budget=Budget(budget))
+        assert report.iterations == ()
+        assert report.proven_minimal
+        assert report.best_size == report.lower_bound == size
+        assert report.final_clause_count == 0
+        check_report(report, flt)
 
 
-def test_budget_covers_the_build(twocolor, monkeypatch):
+def test_bounds_bracket_the_oracle_on_the_small_corpus():
+    for flt in _small_corpus():
+        report = minimize(flt, method=METHOD_LAZY)
+        optimum = brute_minimal(flt).minimal_size
+        assert report.lower_bound <= optimum <= partition_cover(flt).size
+        assert report.best_size == optimum and report.proven_minimal
+
+
+def test_accepted_covers_keep_incompatible_states_apart(monkeypatch):
+    module = importlib.import_module("filtermin.minimize")
+    accepted = []
+
+    def check(cover, find_zip_violation=module.find_zip_violation):
+        violation = find_zip_violation(cover)
+        if violation is None:
+            accepted.append(cover)
+        return violation
+
+    monkeypatch.setattr(module, "find_zip_violation", check)
+    runs = 0
+    for n_obs in range(3, 11):
+        for j in range(2):
+            try:
+                flt = generate(GenParams(
+                    seed=derive(0x1C0A, n_obs, j),
+                    **dict(MEDIUM_SHAPE, n_observations=n_obs)))
+            except GenerationError:
+                continue
+            pairs = incompatible_pairs(flt)
+            for method in (METHOD_SAT, METHOD_LAZY):
+                accepted.clear()
+                report = minimize(flt, method=method)
+                assert report.proven_minimal
+                runs += bool(accepted)
+                for cover in accepted:
+                    for group in cover.subsets:
+                        members = sorted(group)
+                        assert not any(
+                            (u, w) in pairs for i, u in enumerate(members)
+                            for w in members[i + 1:])
+    assert runs >= 10
+
+
+def test_zero_budget_falls_back_to_partition(gap_unsat):
+    # the medium filter's partition (12 subsets) is smaller than its 13
+    # states, so it tells the partition from the identity cover
+    medium = generate(GenParams(seed=derive(0x51CE, 0), **MEDIUM_SHAPE))
+    for flt in (gap_unsat, medium):
+        report = minimize(flt, method=METHOD_SAT, budget=Budget(0.0))
+        assert report.best_cover.subsets == partition_cover(flt).subsets
+        assert not report.proven_minimal
+        check_report(report, flt)
+        assert all(it.outcome == "unknown" for it in report.iterations)
+    assert report.best_size < medium.n_states
+
+
+def test_budget_covers_the_build(gap_unsat, monkeypatch):
     # `filtermin.minimize` is the function; the module holds build_cnf
     module = importlib.import_module("filtermin.minimize")
     build_cnf = module.build_cnf
@@ -77,10 +148,41 @@ def test_budget_covers_the_build(twocolor, monkeypatch):
         return build_cnf(layout, lazy=lazy)
 
     monkeypatch.setattr(module, "build_cnf", slow_build)
-    report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.02))
+    report = minimize(gap_unsat, method=METHOD_SAT, budget=Budget(0.02))
     assert report.iterations
     assert all(it.outcome == "unknown" for it in report.iterations)
-    assert report.best_size == 4 and not report.proven_minimal
+    assert report.best_size == partition_cover(gap_unsat).size
+    assert not report.proven_minimal
+
+
+def test_build_runs_without_cyclic_gc_and_restores_it(gap_unsat,
+                                                      monkeypatch):
+    module = importlib.import_module("filtermin.minimize")
+    build_cnf = module.build_cnf
+    seen = []
+
+    def build(layout, lazy):
+        seen.append(gc.isenabled())
+        return build_cnf(layout, lazy=lazy)
+
+    monkeypatch.setattr(module, "build_cnf", build)
+    assert gc.isenabled()
+    minimize(gap_unsat, method=METHOD_SAT)
+    assert seen == [False] and gc.isenabled()
+    gc.disable()
+    try:
+        minimize(gap_unsat, method=METHOD_SAT)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def broken(layout, lazy):
+        raise MemoryError
+
+    monkeypatch.setattr(module, "build_cnf", broken)
+    with pytest.raises(MemoryError):
+        minimize(gap_unsat, method=METHOD_SAT)
+    assert gc.isenabled()
 
 
 def test_zero_budget_single_state_is_still_proven():
@@ -112,19 +214,19 @@ def test_dispatcher(chain3):
         minimize(chain3, method="dpll")
 
 
-def test_eager_zip_violation_is_an_encoding_bug(twocolor, monkeypatch):
+def test_eager_zip_violation_is_an_encoding_bug(gap_unsat, monkeypatch):
     # without ZIP1 the eager formula admits unzipped covers; the loop must
     # check every accepted cover rather than trust the encoding
     monkeypatch.setattr("filtermin.encoding.zip1_clauses_for_state",
                         lambda layout, v, y: [])
     with pytest.raises(RuntimeError, match="encoding bug"):
-        minimize(twocolor, method=METHOD_SAT)
+        minimize(gap_unsat, method=METHOD_SAT)
 
 
 def test_lazy_groups_sized_to_the_bound_in_force(monkeypatch):
     module = importlib.import_module("filtermin.minimize")
     flt = generate(GenParams(seed=derive(0x51CE, 0), **MEDIUM_SHAPE))
-    bound = [flt.n_states]
+    bound = [partition_cover(flt).size - 1]     # the layout's k
     obs_bound = {}
     loads = []
 
@@ -162,10 +264,11 @@ def test_rejects_nondeterministic_input():
         minimize(bad, method=METHOD_SAT)
 
 
-def test_summary_lines_mention_both_sizes(twocolor):
-    report = minimize(twocolor, method=METHOD_LAZY)
+def test_summary_lines_mention_both_sizes(gap_unsat):
+    report = minimize(gap_unsat, method=METHOD_LAZY)
     text = "\n".join(report.summary_lines())
-    assert "4" in text and "3" in text and "lazy-sat" in text
+    assert "3" in text and "2" in text and "lazy-sat" in text
+    assert "best_size=2 lower_bound=1 " in text
 
 
 @given(small_filters())
