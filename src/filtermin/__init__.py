@@ -5,9 +5,9 @@ from .filters import (CRASH, Cover, Filter, SimulationVerdict, canonical_key,
                       common_outputs, determinize, find_zip_violation,
                       identity_cover, incompatible_pairs, induced_filter,
                       interaction_alive, is_deterministic, is_zipped,
-                      output_simulates, partition_cover, reachable_states,
-                      require_minimizable, sample_language, strip_unreachable,
-                      trace)
+                      merged_cover, output_simulates, partition_cover,
+                      reachable_states, require_minimizable, sample_language,
+                      strip_unreachable, trace)
 from .encoding import (CnfFormula, FeasibilityReport, VarLayout,
                        assignment_satisfies, ban_size_units, build_cnf,
                        build_layout, cover_from_model, eval_ilp, eval_inp,

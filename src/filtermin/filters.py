@@ -21,8 +21,9 @@ This module keeps all value-level semantics in one place:
 * bounds on the size of a valid zipped cover, which are facts about the
   filter rather than constraints: Paull-Unger incompatible state pairs
   (`incompatible_pairs`), a greedy clique of them as the lower bound
-  (`clique_lower_bound`), and a Moore-refinement partition as a cover
-  that always works (`partition_cover`).
+  (`clique_lower_bound`), a Moore-refinement partition as a cover that
+  always works (`partition_cover`), and the smaller cover that greedy
+  merging of its classes reaches (`merged_cover`).
 
 Filters and covers are immutable values; every operation here is read-only.
 """
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 CRASH = "crash"
@@ -482,7 +485,16 @@ def incompatible_pairs(f: Filter) -> frozenset:
     return frozenset(pairs)
 
 
-def clique_lower_bound(f: Filter) -> tuple:
+def _clash_masks(f: Filter, pairs) -> list:
+    """Per state, the bitmask of the states it is incompatible with."""
+    masks = [0] * f.n_states
+    for u, w in incompatible_pairs(f) if pairs is None else pairs:
+        masks[u] |= 1 << w
+        masks[w] |= 1 << u
+    return masks
+
+
+def clique_lower_bound(f: Filter, pairs=None) -> tuple:
     """Sorted pairwise-incompatible states: a lower bound on cover size.
 
     A valid cover holds every state, and incompatible states need distinct
@@ -490,11 +502,9 @@ def clique_lower_bound(f: Filter) -> tuple:
     Greedy: each state seeds a clique in turn, in order of falling
     incompatibility degree, and grows it by the states in that same order
     that are incompatible with every member so far; the largest is kept.
+    `pairs` is `incompatible_pairs(f)`, computed here when None.
     """
-    adj = [0] * f.n_states
-    for u, w in incompatible_pairs(f):
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
+    adj = _clash_masks(f, pairs)
     order = sorted(range(f.n_states), key=lambda v: (-adj[v].bit_count(), v))
     best = []
     for seed in order:
@@ -539,6 +549,80 @@ def partition_cover(f: Filter) -> Cover:
     for v in states:
         classes[block[v]].append(v)
     return Cover(tuple(classes), f)
+
+
+def merged_cover(f: Filter, pairs=None) -> Cover:
+    """A valid zipped cover no larger than `partition_cover`, by merging.
+
+    Greedy state merging from the Moore classes: each pair of classes is
+    tried once, in order of class number.  A trial merges the two blocks
+    under closure, so merging two blocks also merges the blocks of their
+    y-children, for every observation y.  It is kept only if no block it
+    made holds an incompatible pair (`pairs`, computed when None) and each
+    still shares a color; otherwise it is undone.  The Moore classes send
+    each observation's children into one class and closure keeps that
+    true, so the blocks form a zipped partition.  They are numbered in
+    order of their lowest state.
+
+    The pairs only prune.  A zipped partition whose blocks share a color
+    holds no incompatible pair, so a trial that would put one in a block
+    fails the color check later in its closure anyway; the pairs reject
+    it at its first union instead.
+    """
+    classes = partition_cover(f).subsets
+    clash = _clash_masks(f, pairs)
+    block_of = [0] * f.n_states
+    for b, group in enumerate(classes):
+        for v in group:
+            block_of[v] = b
+    # per block root: its states, the states they clash with, their shared
+    # colors, and per observation the block of its children
+    parent = list(range(len(classes)))
+    members = [sum(1 << v for v in group) for group in classes]
+    clashes = [reduce(or_, (clash[v] for v in group)) for group in classes]
+    shared = [frozenset.intersection(*(f.coloring[v] for v in group))
+              for group in classes]
+    kids = [{y: block_of[f.succ[(v, y)][0]] for y in f.observations
+             if (v, y) in f.succ} for v in (min(g) for g in classes)]
+
+    def find(b):
+        while parent[b] != b:
+            b = parent[b]
+        return b
+
+    def try_merge(i, j):
+        trail = []
+        pending = [(i, j)]
+        while pending:
+            a, b = sorted(map(find, pending.pop()))
+            if a == b:
+                continue
+            if clashes[a] & members[b] or not shared[a] & shared[b]:
+                for root, child, *saved in reversed(trail):
+                    parent[child] = child
+                    (members[root], clashes[root], shared[root],
+                     kids[root]) = saved
+                return
+            trail.append((a, b, members[a], clashes[a], shared[a], kids[a]))
+            parent[b] = a
+            members[a] |= members[b]
+            clashes[a] |= clashes[b]
+            shared[a] &= shared[b]
+            kids[a] = dict(kids[a])
+            for y, c in kids[b].items():
+                if y in kids[a]:
+                    pending.append((kids[a][y], c))
+                else:
+                    kids[a][y] = c
+
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            if find(i) != find(j):
+                try_merge(i, j)
+    blocks = {}
+    for v in range(f.n_states):
+        blocks.setdefault(find(block_of[v]), []).append(v)
+    return Cover(tuple(blocks.values()), f)
 
 
 # ---------------------------------------------------------------------------

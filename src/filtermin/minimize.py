@@ -1,14 +1,16 @@
 """Anytime minimization: shrink a size bound with one incremental solver.
 
-Two facts about the filter frame the search before any clause is built.
-Its Moore partition (`partition_cover`) is a valid zipped cover, so it is
-the first best cover and the fallback when no SAT answer arrives.  A
-clique of pairwise-incompatible states (`clique_lower_bound`) needs that
-many subsets in any valid zipped cover, so no cover can be smaller.  When
-the two meet the call is proven at once, with no solver.
+Two facts about the filter frame the search before any clause is built,
+both read from its Paull-Unger incompatible pairs, computed once per call.
+Greedy merging of its Moore classes under closure (`merged_cover`) gives a
+valid zipped cover, so it is the first best cover and the fallback when no
+SAT answer arrives.  A clique of pairwise-incompatible states
+(`clique_lower_bound`) needs that many subsets in any valid zipped cover,
+so no cover can be smaller.  When the two meet the call is proven at once,
+with no solver.
 
 Otherwise one descent loop serves both methods.  It builds the constraint
-system once at bound k = partition size - 1, then for each bound solves,
+system once at bound k = merged cover size - 1, then for each bound solves,
 decodes the model into a cover and checks the zip condition.  An accepted
 cover of size s bans every slot from s up to k with unit clauses, and the
 loop re-solves at k = s - 1, reusing everything the solver has learned.
@@ -42,7 +44,8 @@ from .encoding import (build_cnf, build_layout, ban_size_units,
                        cover_from_model, zip1_clauses_for_state,
                        zip2_clauses_for_obs)
 from .filters import (Cover, Filter, clique_lower_bound, find_zip_violation,
-                      induced_filter, partition_cover, require_minimizable)
+                      incompatible_pairs, induced_filter, merged_cover,
+                      require_minimizable)
 from .sat import SAT, UNSAT, CdclSolver
 
 METHOD_SAT = "sat"
@@ -92,11 +95,19 @@ class IterationStat:
 
 @dataclass(frozen=True)
 class MinimizeReport:
+    """The best cover a call found, its bounds and its iteration rows.
+
+    `lower_bound` is the clique bound and `upper_bound` the size of the
+    merged cover the descent started from, so a `best_size` below
+    `upper_bound` came from the solver and one equal to it did not.
+    """
+
     method: str
     best_cover: Cover
     best_filter: Filter
     proven_minimal: bool
     lower_bound: int
+    upper_bound: int
     iterations: tuple
     zip_obs_loaded: int = 0
     zip_pairs_loaded: int = 0
@@ -114,6 +125,7 @@ class MinimizeReport:
     def summary_lines(self):
         head = (f"method={self.method} best_size={self.best_size} "
                 f"lower_bound={self.lower_bound} "
+                f"upper_bound={self.upper_bound} "
                 f"proven={self.proven_minimal}")
         rows = [head]
         for it in self.iterations:
@@ -155,21 +167,23 @@ def _load_zip_groups(solver, layout, cover, violation, k, loaded_obs,
 
 def minimize(flt: Filter, method: str = METHOD_SAT,
              budget: Optional[Budget] = None, seed: int = 0) -> MinimizeReport:
-    """Descend the size bound from the partition cover to the clique bound.
+    """Descend the size bound from the merged cover to the clique bound.
 
-    The partition cover is the first best cover and the clique bound the
-    lower bound; when they meet the call returns proven with no solver and
-    no iteration row.  Otherwise the descent starts one below the partition
-    size.  Each bound runs solve, decode and zip check; a violation reloads
-    zip groups and solves again, an accepted cover of size s bans every
-    slot from s up to k and the descent continues at k = s - 1.  Every
-    reload round strictly grows the loaded set, so the inner loop
-    terminates.  The descent ends proven when k falls below the lower bound
-    or a bound is unsatisfiable, and unproven when the budget ends, with
-    the best cover so far (the partition cover if the solver accepted
-    none).  Under `sat` every group is loaded up front and a violation is
-    an encoding bug.  The budget starts before the bounds and the build; if
-    they use it up, the first solve answers unknown at once.
+    The merged cover is the first best cover, and its size the report's
+    upper bound; the clique bound is the lower bound.  Both come from one
+    `incompatible_pairs` closure.  When they meet the call returns proven
+    with no solver and no iteration row.  Otherwise the descent starts one
+    below the merged cover's size.  Each bound runs solve, decode and zip
+    check; a violation reloads zip groups and solves again, an accepted
+    cover of size s bans every slot from s up to k and the descent
+    continues at k = s - 1.  Every reload round strictly grows the loaded
+    set, so the inner loop terminates.  The descent ends proven when k
+    falls below the lower bound or a bound is unsatisfiable, and unproven
+    when the budget ends, with the best cover so far (the merged cover if
+    the solver accepted none).  Under `sat` every group is loaded up front
+    and a violation is an encoding bug.  The budget starts before the
+    bounds and the build; if they use it up, the first solve answers
+    unknown at once.
     """
     if method not in (METHOD_SAT, METHOD_LAZY):
         raise ValueError(f"unknown method {method!r}")
@@ -178,14 +192,16 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         budget = Budget(None)
     budget.start()
     require_minimizable(flt)
-    best = partition_cover(flt)
-    lower = len(clique_lower_bound(flt))
+    pairs = incompatible_pairs(flt)
+    best = merged_cover(flt, pairs)
+    lower = len(clique_lower_bound(flt, pairs))
     loaded_obs = {}             # observation -> bound its groups cover
     loaded_pairs = set()        # (state, obs) with containment clauses in
     iterations = []
     accepted = None             # smallest cover the solver produced
     proven = True
-    k = best.size - 1
+    upper = best.size
+    k = upper - 1
     if k >= lower:
         layout, solver = _load(flt, k, lazy, seed)
     while k >= lower:
@@ -216,7 +232,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         k = best.size - 1
     return MinimizeReport(
         method=method, best_cover=best, best_filter=induced_filter(best),
-        proven_minimal=proven, lower_bound=lower,
+        proven_minimal=proven, lower_bound=lower, upper_bound=upper,
         iterations=tuple(iterations),
         zip_obs_loaded=len(loaded_obs), zip_pairs_loaded=len(loaded_pairs))
 

@@ -32,28 +32,48 @@ def make_twocolor():
 
 
 def make_gap_unsat():
-    """4 states whose size bounds do not meet: the clique bound is 1 (no
-    two states are incompatible), the partition cover has 4 subsets and the
+    """6 states whose size bounds do not meet: the clique bound is 1 (no
+    two states are incompatible), the merged cover has 4 subsets and the
     optimum is 2.  The descent runs k = 3 and 2 (both sat) and proves 2
-    with an unsat step at k = 1."""
+    with an unsat step at k = 1.  (`try_small_filter(1300)`.)"""
     return Filter.build(
-        4, [0],
-        [(0, "y1", 1), (1, "y0", 3), (1, "y1", 2), (1, "y2", 0),
-         (2, "y2", 2)],
-        [["o0", "o1"], ["o1", "o2"], ["o0", "o2"], ["o1", "o2"]],
-        observations=("y0", "y1", "y2"), name="gap_unsat")
+        6, [0],
+        [(0, "y0", 1), (0, "y1", 5), (1, "y0", 3), (1, "y1", 2),
+         (3, "y0", 4), (3, "y1", 1), (4, "y0", 2)],
+        [["o0", "o1"], ["o0", "o1"], ["o0", "o2"], ["o0", "o2"],
+         ["o1", "o2"], ["o0", "o1"]],
+        observations=("y0", "y1"), colors=("o0", "o1", "o2"),
+        name="gap_unsat")
 
 
 def make_gap_clique():
-    """4 states, clique bound 2, partition cover 4, optimum 2: the descent
-    runs k = 3 and 2 (both sat) and stops proven at the clique bound,
-    with no unsat step."""
+    """13 states, clique bound 4, merged cover 7: the descent runs k = 6, 5
+    and 4 (all sat) and stops proven at the clique bound, with no unsat
+    step.  (A 3-token medium filter of the benchmark's medium shape.)"""
     return Filter.build(
-        4, [0],
-        [(0, "y0", 3), (0, "y1", 0), (0, "y2", 1), (1, "y1", 2),
-         (1, "y2", 0)],
-        [["o1"], ["o0"], ["o1"], ["o0"]], colors=("o0", "o1"),
-        name="gap_clique")
+        13, [0],
+        [(0, "y0", 3), (0, "y1", 1), (0, "y2", 2), (1, "y0", 8),
+         (1, "y1", 12), (2, "y0", 4), (2, "y2", 5), (3, "y0", 6),
+         (3, "y1", 9), (4, "y0", 11), (4, "y1", 7), (4, "y2", 10),
+         (7, "y1", 7), (11, "y0", 3), (12, "y0", 9), (12, "y1", 12)],
+        [["o0", "o2"], ["o3", "o4"], ["o0", "o2"], ["o0", "o4"],
+         ["o2", "o3"], ["o1", "o2"], ["o1", "o4"], ["o1", "o2"],
+         ["o3", "o4"], ["o0", "o3"], ["o0", "o4"], ["o0", "o4"],
+         ["o2", "o3"]],
+        observations=("y0", "y1", "y2"),
+        colors=("o0", "o1", "o2", "o3", "o4"), name="gap_clique")
+
+
+def make_gap_unmerged():
+    """3 states that greedy merging leaves apart (merged cover 3) although
+    the optimum is 2, because the optimal cover overlaps; clique bound 2.
+    Without a solver answer the call returns the input's size."""
+    return Filter.build(
+        3, [0],
+        [(0, "y0", 2), (0, "y1", 1), (1, "y0", 1), (2, "y0", 0)],
+        [["o0", "o3"], ["o1", "o3"], ["o1", "o2"]],
+        observations=("y0", "y1"), colors=("o0", "o1", "o2", "o3"),
+        name="gap_unmerged")
 
 
 @pytest.fixture
@@ -79,6 +99,11 @@ def gap_unsat():
 @pytest.fixture
 def gap_clique():
     return make_gap_clique()
+
+
+@pytest.fixture
+def gap_unmerged():
+    return make_gap_unmerged()
 
 
 # shapes with 1 + layers*width <= 6 states

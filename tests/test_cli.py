@@ -33,6 +33,13 @@ def gap_unsat_path(tmp_path, gap_unsat):
 
 
 @pytest.fixture
+def gap_unmerged_path(tmp_path, gap_unmerged):
+    p = tmp_path / "gap_unmerged.flt"
+    p.write_text(write_flt(gap_unmerged))
+    return str(p)
+
+
+@pytest.fixture
 def nondet_path(tmp_path):
     p = tmp_path / "nondet.flt"
     p.write_text("filter nd\nstates 2\ninitial 0\ninitial 1\n"
@@ -74,21 +81,21 @@ def test_minimize_writes_stats_csv(tmp_path, capsys, gap_unsat_path):
     assert len(lines) >= 2
 
 
-def test_minimize_timeout_zero_exits_three(capsys, gap_unsat_path):
-    # the partition cover of this filter is no smaller than the input
-    code, out, err = run(capsys, "minimize", gap_unsat_path,
+def test_minimize_timeout_zero_exits_three(capsys, gap_unmerged_path):
+    # the merged cover of this filter is no smaller than the input
+    code, out, err = run(capsys, "minimize", gap_unmerged_path,
                          "--timeout-ms", "0")
     assert code == 3
-    assert "proven=False" in err
-    assert parse_flt(out).n_states == 4       # partition fallback emitted
+    assert "lower_bound=2 upper_bound=3 proven=False" in err
+    assert parse_flt(out).n_states == 3       # merged fallback emitted
 
 
 def test_minimize_timeout_zero_can_still_prove(capsys, twocolor_path):
-    # twocolor's clique bound meets its partition cover: no solver needed
+    # twocolor's clique bound meets its merged cover: no solver needed
     code, out, err = run(capsys, "minimize", twocolor_path,
                          "--timeout-ms", "0")
     assert code == 0
-    assert "lower_bound=3 proven=True" in err
+    assert "lower_bound=3 upper_bound=3 proven=True" in err
     assert parse_flt(out).n_states == 3
 
 

@@ -3,15 +3,17 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from filtermin import (Cover, Filter, canonical_key, children_of_set,
-                       clique_lower_bound, colors_of, common_outputs,
-                       determinize, find_zip_violation, identity_cover,
-                       incompatible_pairs, induced_filter, interaction_alive,
-                       is_deterministic, is_zipped, output_simulates,
+from filtermin import (Cover, Filter, GenParams, canonical_key,
+                       children_of_set, clique_lower_bound, colors_of,
+                       common_outputs, determinize, find_zip_violation,
+                       generate, identity_cover, incompatible_pairs,
+                       induced_filter, interaction_alive, is_deterministic,
+                       is_zipped, merged_cover, output_simulates,
                        partition_cover, reachable_states, sample_language,
                        strip_unreachable, trace)
+from filtermin.bench import LARGE_SHAPE
 from filtermin.filters import CRASH, COLOR_ESCAPE, NONDETERMINISTIC
-from filtermin.rng import SplitMix64
+from filtermin.rng import SplitMix64, derive
 
 from conftest import small_filters
 
@@ -319,3 +321,45 @@ def test_partition_cover_rejects_nondeterministic_filters():
                        [["g"], ["g"], ["g"]])
     with pytest.raises(ValueError, match="deterministic"):
         partition_cover(bad)
+    with pytest.raises(ValueError, match="deterministic"):
+        merged_cover(bad)
+
+
+@given(small_filters())
+def test_merged_cover_is_a_zipped_partition_between_the_bounds(flt):
+    cover = merged_cover(flt)
+    groups = cover.subsets
+    assert cover.is_valid() and is_zipped(cover)
+    assert sum(len(group) for group in groups) == flt.n_states  # disjoint
+    assert all(common_outputs(flt, group) for group in groups)
+    pairs = incompatible_pairs(flt)
+    assert not any((u, w) in pairs for group in groups
+                   for u in group for w in group if u < w)
+    # merging only joins Moore classes, never splits one
+    assert all(any(cls <= group for group in groups)
+               for cls in partition_cover(flt).subsets)
+    assert [min(group) for group in groups] == sorted(map(min, groups))
+    assert merged_cover(flt).subsets == groups
+    assert merged_cover(flt, pairs).subsets == groups
+    # the pairs prune trials that the color check would fail anyway
+    assert merged_cover(flt, frozenset()).subsets == groups
+    assert (len(clique_lower_bound(flt)) <= cover.size
+            <= partition_cover(flt).size)
+    assert output_simulates(induced_filter(cover), flt).holds
+
+
+def test_merged_cover_sizes_pinned(chain3, twocolor, gap_unsat, gap_clique,
+                                   gap_unmerged):
+    # (merged cover, clique bound): the hand filters' bounds meet, the gap
+    # fixtures' do not, nor do those of the second large instance
+    assert merged_cover(chain3).subsets == (frozenset({0, 1, 2}),)
+    assert merged_cover(twocolor).subsets == (
+        frozenset({0}), frozenset({1, 2}), frozenset({3}))
+    fixtures = [(merged_cover(f).size, len(clique_lower_bound(f)))
+                for f in (gap_unsat, gap_clique, gap_unmerged)]
+    assert fixtures == [(4, 1), (7, 4), (3, 2)]
+    large = []
+    for i in range(3):
+        flt = generate(GenParams(seed=derive(0xB1A5, i), **LARGE_SHAPE))
+        large.append((merged_cover(flt).size, len(clique_lower_bound(flt))))
+    assert large == [(10, 10), (13, 11), (11, 11)]

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from filtermin import (METHOD_LAZY, METHOD_SAT, Budget, GenParams,
                        GenerationError, brute_minimal, generate,
                        incompatible_pairs, is_deterministic, is_zipped,
-                       minimize, output_simulates, partition_cover)
+                       merged_cover, minimize, output_simulates,
+                       partition_cover)
 from filtermin.bench import MEDIUM_SHAPE
 from filtermin.filters import Filter
 from filtermin.rng import derive
@@ -45,7 +46,7 @@ def test_iteration_shape(name, method, request):
     flt = request.getfixturevalue(name)
     report = minimize(flt, method=method)
     ks = [it.k for it in report.iterations]
-    assert ks[0] == partition_cover(flt).size - 1
+    assert ks[0] == report.upper_bound - 1 == merged_cover(flt).size - 1
     assert all(a > b for a, b in zip(ks, ks[1:]))
     bests = [it.best_size for it in report.iterations if it.best_size]
     assert all(a >= b for a, b in zip(bests, bests[1:]))
@@ -78,6 +79,7 @@ def test_meeting_bounds_prove_without_a_solver(chain3, twocolor, method,
         assert report.iterations == ()
         assert report.proven_minimal
         assert report.best_size == report.lower_bound == size
+        assert report.upper_bound == size
         assert report.final_clause_count == 0
         check_report(report, flt)
 
@@ -86,8 +88,30 @@ def test_bounds_bracket_the_oracle_on_the_small_corpus():
     for flt in _small_corpus():
         report = minimize(flt, method=METHOD_LAZY)
         optimum = brute_minimal(flt).minimal_size
-        assert report.lower_bound <= optimum <= partition_cover(flt).size
+        assert report.lower_bound <= optimum <= report.upper_bound
+        assert report.upper_bound <= partition_cover(flt).size
         assert report.best_size == optimum and report.proven_minimal
+
+
+def test_one_incompatibility_closure_per_call(gap_unsat, chain3,
+                                              monkeypatch):
+    # both bounds read the pairs; minimize computes them once and passes
+    # them on, whether or not the solver runs
+    filters = importlib.import_module("filtermin.filters")
+    module = importlib.import_module("filtermin.minimize")
+    calls = []
+
+    def counted(f, incompatible_pairs=filters.incompatible_pairs):
+        calls.append(f)
+        return incompatible_pairs(f)
+
+    monkeypatch.setattr(filters, "incompatible_pairs", counted)
+    monkeypatch.setattr(module, "incompatible_pairs", counted)
+    for flt in (gap_unsat, chain3):
+        for method in (METHOD_SAT, METHOD_LAZY):
+            calls.clear()
+            minimize(flt, method=method)
+            assert calls == [flt]
 
 
 def test_accepted_covers_keep_incompatible_states_apart(monkeypatch):
@@ -125,17 +149,18 @@ def test_accepted_covers_keep_incompatible_states_apart(monkeypatch):
     assert runs >= 10
 
 
-def test_zero_budget_falls_back_to_partition(gap_unsat):
-    # the medium filter's partition (12 subsets) is smaller than its 13
-    # states, so it tells the partition from the identity cover
-    medium = generate(GenParams(seed=derive(0x51CE, 0), **MEDIUM_SHAPE))
-    for flt in (gap_unsat, medium):
+def test_zero_budget_falls_back_to_merged_cover(gap_unsat, gap_clique):
+    # both merged covers are smaller than the partition, which is smaller
+    # than the input, so the fallback tells all three apart
+    for flt in (gap_unsat, gap_clique):
         report = minimize(flt, method=METHOD_SAT, budget=Budget(0.0))
-        assert report.best_cover.subsets == partition_cover(flt).subsets
+        assert report.best_cover.subsets == merged_cover(flt).subsets
+        assert report.best_size == report.upper_bound
+        assert report.best_size < partition_cover(flt).size < flt.n_states
         assert not report.proven_minimal
         check_report(report, flt)
+        assert report.iterations
         assert all(it.outcome == "unknown" for it in report.iterations)
-    assert report.best_size < medium.n_states
 
 
 def test_budget_covers_the_build(gap_unsat, monkeypatch):
@@ -151,7 +176,7 @@ def test_budget_covers_the_build(gap_unsat, monkeypatch):
     report = minimize(gap_unsat, method=METHOD_SAT, budget=Budget(0.02))
     assert report.iterations
     assert all(it.outcome == "unknown" for it in report.iterations)
-    assert report.best_size == partition_cover(gap_unsat).size
+    assert report.best_size == merged_cover(gap_unsat).size
     assert not report.proven_minimal
 
 
@@ -223,10 +248,10 @@ def test_eager_zip_violation_is_an_encoding_bug(gap_unsat, monkeypatch):
         minimize(gap_unsat, method=METHOD_SAT)
 
 
-def test_lazy_groups_sized_to_the_bound_in_force(monkeypatch):
+def test_lazy_groups_sized_to_the_bound_in_force(gap_clique, monkeypatch):
     module = importlib.import_module("filtermin.minimize")
-    flt = generate(GenParams(seed=derive(0x51CE, 0), **MEDIUM_SHAPE))
-    bound = [partition_cover(flt).size - 1]     # the layout's k
+    flt = gap_clique
+    bound = [merged_cover(flt).size - 1]        # the layout's k
     obs_bound = {}
     loads = []
 
@@ -268,7 +293,7 @@ def test_summary_lines_mention_both_sizes(gap_unsat):
     report = minimize(gap_unsat, method=METHOD_LAZY)
     text = "\n".join(report.summary_lines())
     assert "3" in text and "2" in text and "lazy-sat" in text
-    assert "best_size=2 lower_bound=1 " in text
+    assert "best_size=2 lower_bound=1 upper_bound=4 " in text
 
 
 @given(small_filters())
