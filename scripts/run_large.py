@@ -31,10 +31,17 @@ CSV_HEADER = ("instance,seed,n_states,method,best_size,lower_bound,"
               "zip_obs_loaded,zip_pairs_loaded")
 
 
+def nonnegative_float(text: str) -> float:
+    x = float(text)
+    if not x >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return x
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--instances", type=positive_int, default=3)
-    ap.add_argument("--budget-s", type=float, default=60.0)
+    ap.add_argument("--budget-s", type=nonnegative_float, default=60.0)
     ap.add_argument("--seed", type=int, default=0xB1A5)
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()

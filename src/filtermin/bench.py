@@ -1,9 +1,12 @@
 """Benchmark suites comparing the eager and lazy methods on random filters.
 
 Each suite is a parameter sweep; every generated instance runs under both
-methods and yields one CSV row per (instance, method).  Failures become
-rows with status "error" instead of killing the sweep.  Rows come out in
-sweep order, so equal inputs give byte-equal CSVs when timing is zeroed.
+methods and yields one CSV row per (instance, method).  A row's status is
+the outcome of the call's last size query (sat, unsat or unknown), or
+"bounds" when the lower and upper bounds met and no query ran, which is
+a proven answer.  Failures become rows with status "error" instead of
+killing the sweep.  Rows come out in sweep order, so equal inputs give
+byte-equal CSVs when timing is zeroed.
 """
 from __future__ import annotations
 
@@ -80,7 +83,7 @@ def run_case(case: BenchCase) -> str:
                           seed=p.seed)
         elapsed_ms = 0 if case.zero_timing else int(
             round((time.monotonic() - t0) * 1000))
-        status = report.iterations[-1].outcome if report.iterations else "unknown"
+        status = report.iterations[-1].outcome if report.iterations else "bounds"
         return (f"{prefix},{status},{report.best_size},"
                 f"{report.proven_minimal},{elapsed_ms},"
                 f"{report.final_clause_count}")

@@ -176,35 +176,30 @@ def valid_cover_clauses(layout: VarLayout, lazy: bool):
     return [[layout.r_index(i, v) for i in range(1, k + 1)] for v in states]
 
 
-def zip1_clauses_for_state(layout: VarLayout, v, y, k=None):
+def zip1_clauses_for_state(layout: VarLayout, v, y):
     """For every subset pair (i, j): if subset i claims state v and routes its
     y-children to subset j, then v's y-child is in subset j.  Empty when v has
-    no y-child (the constant makes every instance vacuous).  Covers slots
-    1..k, by default the layout's whole range."""
+    no y-child (the constant makes every instance vacuous)."""
     child = layout.child(v, y)
     if child is None:
         return []
-    n, stride = layout.n, layout.k
-    if k is None:
-        k = stride
+    n, k = layout.n, layout.k
     ny = len(layout.obs)
     ypos = layout._obs_pos[y]
     a_base = layout._a_base
     out = []
     for i in range(1, k + 1):
         r_iv = (i - 1) * n + v + 1
-        row = a_base + (i - 1) * stride * ny + ypos + 1
+        row = a_base + (i - 1) * k * ny + ypos + 1
         for j in range(1, k + 1):
             a_ijy = row + (j - 1) * ny
             out.append([-a_ijy, -r_iv, (j - 1) * n + child + 1])
     return out
 
 
-def zip2_clauses_for_obs(layout: VarLayout, y, k=None):
-    """Every subset routes its y-children somewhere, over slots 1..k (by
-    default the layout's whole range)."""
-    if k is None:
-        k = layout.k
+def zip2_clauses_for_obs(layout: VarLayout, y):
+    """Every subset routes its y-children somewhere."""
+    k = layout.k
     return [[layout.a_index(i, j, y) for j in range(1, k + 1)]
             for i in range(1, k + 1)]
 

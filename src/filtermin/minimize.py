@@ -27,7 +27,8 @@ method loads every clause, so a zip violation can only be an encoding
 bug.  The lazy `lazy-sat` method withholds the children-containment
 ("zip") clauses and loads them in groups only when a proposed cover
 actually violates the zip condition, which keeps the loaded formula a
-fraction of the full one on filters with many observations.
+fraction of the full one on filters with many observations.  Every group
+covers all of the layout's slots, as in the eager formula.
 
 Both methods branch on the R block only (the cover itself); the solver
 completes the routing and output witnesses, which `filtermin.encoding`
@@ -35,7 +36,6 @@ shows is sound for its CNF.
 """
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -58,12 +58,12 @@ class Budget:
     Construction does not start the clock; `start` does, and `minimize`
     calls it first, so formula building and solver loading count against
     the allowance.  The build itself is not interrupted.  A None allowance
-    never expires.
+    never expires; a negative or NaN one is rejected.
     """
 
     def __init__(self, seconds: Optional[float] = None):
-        if seconds is not None and seconds < 0:
-            raise ValueError("budget must be >= 0")
+        if seconds is not None and not seconds >= 0:
+            raise ValueError(f"budget must be >= 0, got {seconds}")
         self.seconds = seconds
         self._deadline = None
 
@@ -134,33 +134,31 @@ class MinimizeReport:
         return rows
 
 
-def _load_zip_groups(solver, layout, cover, violation, k, loaded_obs,
+def _load_zip_groups(solver, layout, cover, violation, loaded_obs,
                      loaded_pairs) -> bool:
     """Load the zip groups behind one violation; False if none were new.
 
     A violated (subset, observation) pair loads the routing clauses for
     that observation plus the containment clauses for the subset's member
-    states.  Groups cover slots 1..k for the bound k in force when the
-    observation's routing clauses first load, recorded in `loaded_obs`:
-    slots above it are banned, and every later containment group for that
-    observation uses the same bound, so each routing witness a routing
-    clause names is constrained.  Groups persist across bans; root
-    simplification inside the solver prunes the parts that mention banned
-    slots.
+    states, each over the layout's slots 1..k.  Groups loaded after a ban
+    stay sound: a containment clause whose subset is banned is true at the
+    root, one whose target is banned shrinks to [-a, -R], and a banned
+    subset's routing clause is met by the completion that
+    `filtermin.encoding` describes.
     """
     i, y = violation
     progress = False
     if y not in loaded_obs:
-        loaded_obs[y] = k
+        loaded_obs.add(y)
         progress = True
-        for clause in zip2_clauses_for_obs(layout, y, k):
+        for clause in zip2_clauses_for_obs(layout, y):
             solver.add_clause(clause)
     for v in sorted(cover.subsets[i]):
         if layout.child(v, y) is None or (v, y) in loaded_pairs:
             continue
         loaded_pairs.add((v, y))
         progress = True
-        for clause in zip1_clauses_for_state(layout, v, y, loaded_obs[y]):
+        for clause in zip1_clauses_for_state(layout, v, y):
             solver.add_clause(clause)
     return progress
 
@@ -195,7 +193,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
     pairs = incompatible_pairs(flt)
     best = merged_cover(flt, pairs)
     lower = len(clique_lower_bound(flt, pairs))
-    loaded_obs = {}             # observation -> bound its groups cover
+    loaded_obs = set()          # observations with routing clauses in
     loaded_pairs = set()        # (state, obs) with containment clauses in
     iterations = []
     accepted = None             # smallest cover the solver produced
@@ -203,7 +201,11 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
     upper = best.size
     k = upper - 1
     if k >= lower:
-        layout, solver = _load(flt, k, lazy, seed)
+        layout = build_layout(flt, k)
+        solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed,
+                            decision_vars=layout.n_cover_vars)
+        for clause in build_cnf(layout, lazy=lazy).clauses:
+            solver.add_clause(clause)
     while k >= lower:
         t0 = time.monotonic()
         while True:
@@ -216,7 +218,7 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
                 best = accepted = cover
                 break
             if not (lazy and _load_zip_groups(solver, layout, cover, violation,
-                                              k, loaded_obs, loaded_pairs)):
+                                              loaded_obs, loaded_pairs)):
                 raise RuntimeError(
                     "zip violation with all groups loaded; encoding bug")
         iterations.append(IterationStat(
@@ -236,23 +238,3 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         iterations=tuple(iterations),
         zip_obs_loaded=len(loaded_obs), zip_pairs_loaded=len(loaded_pairs))
 
-
-def _load(flt, k, lazy, seed):
-    """Layout at bound k and a solver loaded with its up-front clauses.
-
-    Cyclic garbage collection is off meanwhile: on large filters the build
-    makes up to a million long-lived clause lists, none of them in a
-    reference cycle, and collections would rescan them all.
-    """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        layout = build_layout(flt, k)
-        solver = CdclSolver(num_vars=layout.num_cnf_vars, seed=seed,
-                            decision_vars=layout.n_cover_vars)
-        for clause in build_cnf(layout, lazy=lazy).clauses:
-            solver.add_clause(clause)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return layout, solver

@@ -24,16 +24,16 @@ branching and models scale with the loaded formula, not with `num_vars`.
 Branching is restricted to the decision variables 1..decision_vars (all
 variables by default), as in MiniSat's decision-variable flag.  It keeps
 one invariant: every active, unassigned decision variable has an entry in
-the VSIDS heap carrying its current activity.  Decision variables
-activated since the last solve enter the heap when the next solve starts,
-backtracking pushes every one it unassigns, and bumps push the new
-activity.  Older entries go stale and are skipped when popped, so a
-drained heap means every active decision variable is assigned.  Stale
-entries are also dropped in bulk: once the heap holds more than twice as
-many entries as there are active variables, backtracking rebuilds it from
-the unassigned decision variables.  That changes no pick, since a pick
-skips stale entries anyway, and it bounds the heap however long a search
-runs.
+the VSIDS heap carrying its current activity.  Each solve starts from a
+heap rebuilt from the active, unassigned decision variables, backtracking
+pushes every one it unassigns, and bumps push the new activity.  Older
+entries go stale and are skipped when popped, so a drained heap means
+every active decision variable is assigned.  Stale entries are also
+dropped in bulk: once the heap holds more than twice as many entries as
+there are active variables, backtracking rebuilds it from the unassigned
+decision variables.  Neither rebuild changes a pick, since a pick takes
+the smallest current (-activity, v) entry and skips stale ones anyway,
+and the bulk rebuild bounds the heap however long a search runs.
 
 A solve answers SAT when the heap is drained and propagation is quiet.
 Variables above decision_vars may then still be unassigned, and the model
@@ -100,7 +100,6 @@ class CdclSolver:
         self.activity = [0.0] * nv
         self.saved_phase = [False] * nv
         self.active_vars = array("i")   # in activation order
-        self._heaped = 0         # active_vars[:_heaped] have entered the heap
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -342,23 +341,6 @@ class CdclSolver:
                 return v if self.saved_phase[v] else -v
         return None
 
-    def _heap_new_vars(self):
-        """Give the decision variables activated since the last solve heap
-        entries."""
-        values = self.values
-        activity = self.activity
-        decision_vars = self.decision_vars
-        new = [(-activity[v], v) for v in self.active_vars[self._heaped:]
-               if v <= decision_vars and values[v] == 0]
-        self._heaped = len(self.active_vars)
-        if len(new) > len(self.heap):
-            new += self.heap
-            heapq.heapify(new)
-            self.heap = new
-        else:
-            for entry in new:
-                heapq.heappush(self.heap, entry)
-
     # -- learned clause deletion ----------------------------------------------
 
     def _locked(self, c):
@@ -406,7 +388,7 @@ class CdclSolver:
             if time_budget_s <= 0:
                 return SolveOutcome(UNKNOWN, None, stats)
             deadline = time.monotonic() + time_budget_s
-        self._heap_new_vars()
+        self._rebuild_heap()
         restart_limit = 100.0
         conflicts_at_restart = 0
         while True:

@@ -1,8 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from filtermin import (BENCH_HEADER, STATS_HEADER, build_layout, build_cnf,
-                       parse_dimacs, parse_flt, write_flt)
+                       parse_dimacs, parse_flt, run_bench, write_flt)
 from filtermin.cli import main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -184,6 +190,27 @@ def test_bench_tiny_run(tmp_path, capsys):
     assert lines[0] == BENCH_HEADER
     assert len(lines) > 1
     assert not any(",error," in line for line in lines[1:])
+
+
+def test_bench_status_says_bounds_for_calls_the_bounds_proved():
+    rows = [line.split(",") for line in
+            run_bench("obs-sweep", repeats=2, zero_timing=True).splitlines()[1:]]
+    assert len(rows) == 32
+    # status, best_size, proven, elapsed_ms, final_clause_count
+    tails = [row[11:] for row in rows]
+    bounds = [t for t in tails if t[2] == "True" and t[4] == "0"]
+    assert bounds and all(t[0] == "bounds" for t in bounds)
+    assert not any(t[0] == "unknown" and t[2] == "True" for t in tails)
+    assert all(t[0] in ("sat", "unsat", "unknown", "bounds") for t in tails)
+
+
+def test_run_large_rejects_a_bad_budget_while_reading_arguments():
+    for value in ("-1", "nan", "soon"):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_large.py"), "--budget-s",
+             value], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "--budget-s" in done.stderr
 
 
 def test_exit_codes_for_usage_errors(capsys, tmp_path):

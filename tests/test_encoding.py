@@ -13,7 +13,7 @@ from filtermin.encoding import (out1_clauses, out2_clauses,
                                 zip2_clauses_for_obs)
 from filtermin.rng import derive
 
-from conftest import covers_for, max_slot, small_filters
+from conftest import covers_for, small_filters
 
 
 def lp_shape(text):
@@ -131,24 +131,6 @@ def test_eager_clause_order(twocolor):
     assert [len(block) for block in zip2] == [2, 2]
 
 
-def test_zip_groups_sized_to_a_bound(twocolor):
-    lay = build_layout(twocolor, 4)
-    for k in range(1, 5):
-        for v, y in lay.live_edges:
-            zip1 = zip1_clauses_for_state(lay, v, y, k)
-            assert len(zip1) == k * k and max_slot(lay, zip1) == k
-        for y in lay.obs:
-            zip2 = zip2_clauses_for_obs(lay, y, k)
-            assert len(zip2) == k and all(len(c) == k for c in zip2)
-            assert max_slot(lay, zip2) == k
-    # the default is the layout's whole range, so the eager formula and the
-    # exports keep their clauses
-    v, y = lay.live_edges[0]
-    assert zip1_clauses_for_state(lay, v, y) == \
-        zip1_clauses_for_state(lay, v, y, 4)
-    assert zip2_clauses_for_obs(lay, y) == zip2_clauses_for_obs(lay, y, 4)
-
-
 def test_lazy_base_has_per_state_cover_clauses(twocolor):
     lay = build_layout(twocolor, 2)
     lazy = build_cnf(lay, lazy=True)
@@ -193,7 +175,7 @@ def descent_models(flt, lazy):
     solver = CdclSolver(lay.num_cnf_vars, seed=3,
                         decision_vars=lay.n_cover_vars)
     loaded = CnfFormula(lay.num_cnf_vars, [])
-    group_k, pairs = {}, set()
+    obs, pairs = set(), set()
 
     def load(clauses):
         for c in clauses:
@@ -215,12 +197,12 @@ def descent_models(flt, lazy):
             assert lazy
             i, y = violation
             new = []
-            if y not in group_k:
-                group_k[y] = k
-                new += zip2_clauses_for_obs(lay, y, k)
+            if y not in obs:
+                obs.add(y)
+                new += zip2_clauses_for_obs(lay, y)
             for v in cover.subsets[i] - {v for v, z in pairs if z == y}:
                 pairs.add((v, y))
-                new += zip1_clauses_for_state(lay, v, y, group_k[y])
+                new += zip1_clauses_for_state(lay, v, y)
             assert new
             load(new)
             continue

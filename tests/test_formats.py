@@ -144,14 +144,8 @@ def test_stats_csv_shape(gap_unsat):
     int(first[3]);  int(first[4])       # numeric columns parse
 
 
-def test_stats_csv_empty_best_on_zero_budget(twocolor):
-    report = minimize(twocolor, method=METHOD_SAT, budget=Budget(0.0))
-    rows = write_stats_csv(report).splitlines()[1:]
-    assert all(row.endswith(",") for row in rows)
-
-
 def test_stats_csv_empty_best_before_an_accepted_cover(gap_unsat):
-    # the partition cover is the report's best, not a row's
+    # the merged cover is the report's best, not a row's
     report = minimize(gap_unsat, method=METHOD_SAT, budget=Budget(0.0))
     rows = write_stats_csv(report).splitlines()[1:]
     assert rows and all(row.endswith(",") for row in rows)

@@ -1,4 +1,3 @@
-import gc
 import importlib
 import time
 
@@ -180,34 +179,10 @@ def test_budget_covers_the_build(gap_unsat, monkeypatch):
     assert not report.proven_minimal
 
 
-def test_build_runs_without_cyclic_gc_and_restores_it(gap_unsat,
-                                                      monkeypatch):
-    module = importlib.import_module("filtermin.minimize")
-    build_cnf = module.build_cnf
-    seen = []
-
-    def build(layout, lazy):
-        seen.append(gc.isenabled())
-        return build_cnf(layout, lazy=lazy)
-
-    monkeypatch.setattr(module, "build_cnf", build)
-    assert gc.isenabled()
-    minimize(gap_unsat, method=METHOD_SAT)
-    assert seen == [False] and gc.isenabled()
-    gc.disable()
-    try:
-        minimize(gap_unsat, method=METHOD_SAT)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-    def broken(layout, lazy):
-        raise MemoryError
-
-    monkeypatch.setattr(module, "build_cnf", broken)
-    with pytest.raises(MemoryError):
-        minimize(gap_unsat, method=METHOD_SAT)
-    assert gc.isenabled()
+def test_budget_rejects_negative_and_nan():
+    for seconds in (-1.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="budget"):
+            Budget(seconds)
 
 
 def test_zero_budget_single_state_is_still_proven():
@@ -248,38 +223,39 @@ def test_eager_zip_violation_is_an_encoding_bug(gap_unsat, monkeypatch):
         minimize(gap_unsat, method=METHOD_SAT)
 
 
-def test_lazy_groups_sized_to_the_bound_in_force(gap_clique, monkeypatch):
+def test_lazy_groups_span_the_whole_layout(gap_clique, monkeypatch):
+    # groups first loaded after a ban still name every slot 1..layout.k
     module = importlib.import_module("filtermin.minimize")
     flt = gap_clique
-    bound = [merged_cover(flt).size - 1]        # the layout's k
-    obs_bound = {}
-    loads = []
+    banned = [False]
+    zip2_after_ban = []
 
     def ban(layout, slot, ban_size_units=module.ban_size_units):
-        bound[0] = min(bound[0], slot - 1)
+        banned[0] = True
         return ban_size_units(layout, slot)
 
-    def zip2(layout, y, k, zip2=module.zip2_clauses_for_obs):
-        out = zip2(layout, y, k)
-        assert y not in obs_bound and max_slot(layout, out) == k == bound[0]
-        obs_bound[y] = k
-        loads.append(k)
+    def zip2(layout, y, zip2=module.zip2_clauses_for_obs):
+        out = zip2(layout, y)
+        k = layout.k
+        assert len(out) == k and all(len(c) == k for c in out)
+        assert max_slot(layout, out) == k
+        if banned[0]:
+            zip2_after_ban.append(y)
         return out
 
-    def zip1(layout, v, y, k, zip1=module.zip1_clauses_for_state):
-        out = zip1(layout, v, y, k)
-        # the bound its observation's routing clauses were loaded at
-        assert max_slot(layout, out) == k == obs_bound[y]
-        loads.append(k)
+    def zip1(layout, v, y, zip1=module.zip1_clauses_for_state):
+        out = zip1(layout, v, y)
+        k = layout.k
+        assert len(out) == k * k and max_slot(layout, out) == k
         return out
 
     monkeypatch.setattr(module, "ban_size_units", ban)
     monkeypatch.setattr(module, "zip2_clauses_for_obs", zip2)
     monkeypatch.setattr(module, "zip1_clauses_for_state", zip1)
     report = minimize(flt, method=METHOD_LAZY)
-    assert report.proven_minimal
-    assert report.iterations[0].best_size < flt.n_states
-    assert loads and max(loads) < flt.n_states
+    assert report.proven_minimal and report.best_size == 4
+    assert [it.k for it in report.iterations] == [6, 5, 4]
+    assert zip2_after_ban
     check_report(report, flt)
 
 
