@@ -4,9 +4,12 @@ Each suite is a parameter sweep; every generated instance runs under both
 methods and yields one CSV row per (instance, method).  A row's status is
 the outcome of the call's last size query (sat, unsat or unknown), or
 "bounds" when the lower and upper bounds met and no query ran, which is
-a proven answer.  Failures become rows with status "error" instead of
-killing the sweep.  Rows come out in sweep order, so equal inputs give
-byte-equal CSVs when timing is zeroed.
+a proven answer.  The last four columns are the call's clique lower
+bound, its merged-cover upper bound and the zip groups it loaded
+just in time (observation groups, then edge groups; 0 under the eager
+method).  Failures become rows with status "error" and empty figures
+instead of killing the sweep.  Rows come out in sweep order, so equal
+inputs give byte-equal CSVs when timing is zeroed.
 """
 from __future__ import annotations
 
@@ -22,7 +25,8 @@ from .rng import derive
 
 BENCH_HEADER = ("suite,layers,width,self_loops,back_edges,outputs,"
                 "outputs_per_state,observations,instance,seed,method,"
-                "status,best_size,proven,elapsed_ms,final_clause_count")
+                "status,best_size,proven,elapsed_ms,final_clause_count,"
+                "lower_bound,upper_bound,zip_obs_loaded,zip_pairs_loaded")
 
 SUITES = ("obs-sweep", "out-sweep", "large")
 
@@ -86,10 +90,12 @@ def run_case(case: BenchCase) -> str:
         status = report.iterations[-1].outcome if report.iterations else "bounds"
         return (f"{prefix},{status},{report.best_size},"
                 f"{report.proven_minimal},{elapsed_ms},"
-                f"{report.final_clause_count}")
+                f"{report.final_clause_count},{report.lower_bound},"
+                f"{report.upper_bound},{report.zip_obs_loaded},"
+                f"{report.zip_pairs_loaded}")
     except (GenerationError, ValueError, RuntimeError):
         traceback.print_exc()
-        return f"{prefix},error,,False,,"
+        return f"{prefix},error,,False,,,,,,"
 
 
 def run_bench(suite: str, repeats: int = 3, seed: int = 0,

@@ -48,6 +48,7 @@ them with .get(var, False).
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from array import array
 from dataclasses import dataclass
@@ -379,7 +380,13 @@ class CdclSolver:
         permanent; later calls return it immediately.  A SAT model reports
         active variables left unassigned (only possible above
         decision_vars) as true.
+
+        A None budget never runs out; a budget of zero or less answers
+        UNKNOWN without searching.  A NaN budget raises ValueError, as
+        `Budget` does, since no deadline could ever pass.
         """
+        if time_budget_s is not None and math.isnan(time_budget_s):
+            raise ValueError("time budget must not be NaN")
         self.stats = stats = SolveStats()
         if self.unsat:
             return SolveOutcome(UNSAT, None, stats)

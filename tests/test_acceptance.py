@@ -7,6 +7,8 @@ line with its headline numbers (visible under -s or on failure).
 The heavyweight corpora are module-scoped fixtures so the exactness,
 method-agreement, and soundness criteria share one set of runs.
 """
+import csv
+import io
 import statistics
 import time
 
@@ -194,7 +196,8 @@ def test_criterion_5_lazy_loads_fewer_clauses(medium_runs):
 
 def test_criterion_6_difficulty_trends_informational(tmp_path):
     medians = {}
-    for suite, column in (("obs-sweep", 7), ("out-sweep", 5)):
+    for suite, column in (("obs-sweep", "observations"),
+                          ("out-sweep", "outputs")):
         csv_text = run_bench(suite, repeats=3, seed=1, timeout_ms=30000)
         path = tmp_path / f"{suite}.csv"
         path.write_text(csv_text)
@@ -202,11 +205,11 @@ def test_criterion_6_difficulty_trends_informational(tmp_path):
         assert lines[0] == BENCH_HEADER
         assert not any(",error," in line for line in lines[1:])
         per_point = {}
-        for line in lines[1:]:
-            f = line.split(",")
-            if f[10] != METHOD_SAT:
+        for row in csv.DictReader(io.StringIO(csv_text)):
+            if row["method"] != METHOD_SAT:
                 continue
-            per_point.setdefault(int(f[column]), []).append(float(f[14]))
+            per_point.setdefault(int(row[column]), []).append(
+                float(row["elapsed_ms"]))
         medians[suite] = {x: statistics.median(v)
                           for x, v in sorted(per_point.items())}
     print("criterion 6: PASS (informational) - median solve ms by "

@@ -1,14 +1,13 @@
-import subprocess
-import sys
-from pathlib import Path
+import csv
+import io
 
 import pytest
 
-from filtermin import (BENCH_HEADER, STATS_HEADER, build_layout, build_cnf,
-                       parse_dimacs, parse_flt, run_bench, write_flt)
+from filtermin import (BENCH_HEADER, STATS_HEADER, GenParams, build_layout,
+                       build_cnf, parse_dimacs, parse_flt, run_bench,
+                       write_flt)
+from filtermin.bench import MEDIUM_SHAPE, BenchCase, run_case
 from filtermin.cli import main
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -193,24 +192,32 @@ def test_bench_tiny_run(tmp_path, capsys):
 
 
 def test_bench_status_says_bounds_for_calls_the_bounds_proved():
-    rows = [line.split(",") for line in
-            run_bench("obs-sweep", repeats=2, zero_timing=True).splitlines()[1:]]
+    text = run_bench("obs-sweep", repeats=2, zero_timing=True)
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 32
-    # status, best_size, proven, elapsed_ms, final_clause_count
-    tails = [row[11:] for row in rows]
-    bounds = [t for t in tails if t[2] == "True" and t[4] == "0"]
-    assert bounds and all(t[0] == "bounds" for t in bounds)
-    assert not any(t[0] == "unknown" and t[2] == "True" for t in tails)
-    assert all(t[0] in ("sat", "unsat", "unknown", "bounds") for t in tails)
-
-
-def test_run_large_rejects_a_bad_budget_while_reading_arguments():
-    for value in ("-1", "nan", "soon"):
-        done = subprocess.run(
-            [sys.executable, str(SCRIPTS / "run_large.py"), "--budget-s",
-             value], capture_output=True, text=True, timeout=60)
-        assert done.returncode == 2 and done.stdout == ""
-        assert "--budget-s" in done.stderr
+    bounds = [r for r in rows
+              if r["proven"] == "True" and r["final_clause_count"] == "0"]
+    assert bounds and all(r["status"] == "bounds" for r in bounds)
+    assert not any(r["status"] == "unknown" and r["proven"] == "True"
+                   for r in rows)
+    assert all(r["status"] in ("sat", "unsat", "unknown", "bounds")
+               for r in rows)
+    for r in rows:
+        assert (int(r["lower_bound"]) <= int(r["best_size"])
+                <= int(r["upper_bound"]))
+        if r["status"] == "bounds" or r["method"] == "sat":
+            assert r["zip_obs_loaded"] == r["zip_pairs_loaded"] == "0"
+        if r["status"] == "bounds":
+            assert r["lower_bound"] == r["upper_bound"] == r["best_size"]
+    # width 3 with a 2-token alphabet cannot label the root's edges
+    params = GenParams(seed=0, **dict(MEDIUM_SHAPE, layers=1,
+                                      n_observations=2))
+    error_row = run_case(BenchCase(suite="obs-sweep", params=params,
+                                   instance=0, method="sat", timeout_ms=None,
+                                   zero_timing=True)).split(",")
+    header = BENCH_HEADER.split(",")
+    assert len(error_row) == len(header)
+    assert dict(zip(header, error_row))["status"] == "error"
 
 
 def test_exit_codes_for_usage_errors(capsys, tmp_path):
@@ -220,10 +227,9 @@ def test_exit_codes_for_usage_errors(capsys, tmp_path):
     # rejected while the arguments are read, before the input is opened
     code, _, err = run(capsys, "minimize", "x.flt", "--timeout-ms", "-1")
     assert code == 2 and "--timeout-ms" in err
-    code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
-                         "--timeout-ms", "-5")
-    assert code == 2 and "--timeout-ms" in err and out == ""
-    for flag, value in (("--repeats", "0"), ("--repeats", "-2"),
+    for flag, value in (("--timeout-ms", "-5"), ("--timeout-ms", "-1"),
+                        ("--timeout-ms", "nan"), ("--timeout-ms", "soon"),
+                        ("--repeats", "0"), ("--repeats", "-2"),
                         ("--jobs", "-1")):
         code, out, err = run(capsys, "bench", "--suite", "obs-sweep",
                              flag, value)

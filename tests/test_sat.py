@@ -75,6 +75,14 @@ def test_zero_budget_returns_unknown():
     assert s.solve().status == UNSAT
 
 
+def test_nan_budget_raises_instead_of_running_unbounded():
+    # 10 pigeons in 9 holes is far too hard to settle in 0.3 s
+    s = fresh(php_clauses(10, 9))
+    assert s.solve(time_budget_s=0.3).status == UNKNOWN
+    with pytest.raises(ValueError):
+        s.solve(time_budget_s=float("nan"))
+
+
 def test_incremental_bans_flip_sat_to_unsat():
     s = fresh([[1, 2, 3]])
     assert s.solve().status == SAT
