@@ -3,7 +3,7 @@
 Subcommands: minimize, gen, check, export, bench.  Exit codes: 0 on
 success, 1 on a semantic failure (nondeterministic input, failed check,
 generation failure), 2 on parse or usage errors, 3 when a minimize run
-timed out before improving on the trivial cover.
+ran out of budget and found no filter smaller than the input.
 """
 from __future__ import annotations
 

@@ -10,11 +10,11 @@ The .flt format, one directive per line::
     out 1 red
     trans 0 go 1
 
-Tokens (names, observation labels, colors) match [A-Za-z0-9_]+.  Every
-state needs exactly one `out` line listing its colors; `initial` may
-repeat for multiple initial states; `trans src label dst` declares one
-labelled edge and may not repeat verbatim.  Parse errors carry the
-1-based line number.
+Tokens (names, observation labels, colors) match [A-Za-z0-9_]+, and
+counts and state ids match [0-9]+.  Every state needs exactly one `out`
+line listing its colors; `initial` may repeat for multiple initial
+states; `trans src label dst` declares one labelled edge and may not
+repeat verbatim.  Parse errors carry the 1-based line number.
 
 Writing is canonical: initial lines ascending, out lines in state order
 with colors in declared-alphabet order, trans lines sorted by (src,
@@ -31,6 +31,7 @@ from .filters import Filter
 from .minimize import MinimizeReport
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
+_NUMBER = re.compile(r"[0-9]+\Z")   # str.isdigit also takes '²', int() does not
 
 STATS_HEADER = "method,k,outcome,elapsed_ms,clauses_in_solver,best_size_so_far"
 
@@ -72,15 +73,15 @@ def parse_flt(text: str) -> Filter:
         elif directive == "states":
             if n_states is not None:
                 raise FltError("duplicate states directive", lineno)
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not _NUMBER.match(args[0]):
                 raise FltError("states needs one non-negative count", lineno)
             n_states = int(args[0])
         elif directive == "initial":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not _NUMBER.match(args[0]):
                 raise FltError("initial needs one state id", lineno)
             initial.append((int(args[0]), lineno))
         elif directive == "out":
-            if len(args) < 2 or not args[0].isdigit():
+            if len(args) < 2 or not _NUMBER.match(args[0]):
                 raise FltError("out needs a state id and colors", lineno)
             v = int(args[0])
             if v in outs:
@@ -93,7 +94,8 @@ def parse_flt(text: str) -> Filter:
                 if c not in col_order:
                     col_order.append(c)
         elif directive == "trans":
-            if len(args) != 3 or not args[0].isdigit() or not args[2].isdigit():
+            if (len(args) != 3 or not _NUMBER.match(args[0])
+                    or not _NUMBER.match(args[2])):
                 raise FltError("trans needs src label dst", lineno)
             src, dst = int(args[0]), int(args[2])
             y = _check_token(args[1], lineno, "observation")

@@ -9,48 +9,40 @@ shrinking size loop and the just-in-time constraint loading cheap.
 
 Literal convention is DIMACS-like: variables are positive ints, a negative
 int is the negated literal.  The variable range 1..num_vars is fixed when
-the solver is built, and every table is sized once then and never grows.
+the solver is built, and every table is sized once then and never grows:
+each variable has its two watch lists and its slots from construction on.
 Literal-indexed tables exploit Python's negative indexing: with n
 variables they have length 2n + 1, so table[lit] works for -n <= lit <= n.
 `add_clause` rejects any literal outside that range, 0 included.
 
-A variable becomes active when a stored clause first mentions it, and
-only then does it cost anything beyond its slots in the tables: that is
-when it gets its two watch lists and its tie-break jitter.  The watch
-lists are the record of activity: watches[v] is None exactly while v is
-inactive.  So on a formula loaded lazily into a large layout, set-up,
-branching and models scale with the loaded formula, not with `num_vars`.
-
 Branching is restricted to the decision variables 1..decision_vars (all
-variables by default), as in MiniSat's decision-variable flag.  It keeps
-one invariant: every active, unassigned decision variable has an entry in
-the VSIDS heap carrying its current activity.  Each solve starts from a
-heap rebuilt from the active, unassigned decision variables, backtracking
-pushes every one it unassigns, and bumps push the new activity.  Older
-entries go stale and are skipped when popped, so a drained heap means
-every active decision variable is assigned.  Stale entries are also
-dropped in bulk: once the heap holds more than twice as many entries as
-there are active variables, backtracking rebuilds it from the unassigned
-decision variables.  Neither rebuild changes a pick, since a pick takes
-the smallest current (-activity, v) entry and skips stale ones anyway,
-and the bulk rebuild bounds the heap however long a search runs.
+variables by default), as in MiniSat's decision-variable flag.  Each
+decision variable starts with a tiny seeded activity, its jitter, that
+breaks equal-activity ties by seed.  The solver keeps one invariant:
+every unassigned decision variable has an entry in the VSIDS heap
+carrying its current activity.  Each solve starts from a heap rebuilt
+from the unassigned decision variables, backtracking pushes every one it
+unassigns, and bumps push the new activity.  Older entries go stale and
+are skipped when popped, so a drained heap means every decision variable
+is assigned.  Stale entries are also dropped in bulk: once the heap holds
+more than twice as many entries as there are decision variables,
+backtracking rebuilds it.  Neither rebuild changes a pick, since a pick
+takes the smallest current (-activity, v) entry and skips stale ones
+anyway, and the bulk rebuild bounds the heap however long a search runs.
 
 A solve answers SAT when the heap is drained and propagation is quiet.
-Variables above decision_vars may then still be unassigned, and the model
-reports every such active variable as true.  This is a satisfying model
-only for formulas where completing with true is sound, which the caller
-must know: `filtermin.encoding` states why its CNF is one when the R block
-is the decision set.  With the default, every active variable is assigned.
-
-Models are partial: only active variables are reported.  Callers read
-them with .get(var, False).
+The model maps every variable in 1..num_vars to a bool.  Variables above
+decision_vars may then still be unassigned, and the model reports each
+such variable as true.  This is a satisfying model only for formulas where
+completing with true is sound, which the caller must know:
+`filtermin.encoding` states why its CNF is one when the R block is the
+decision set.  With the default, every variable is assigned.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,12 +87,17 @@ class CdclSolver:
         self.decision_vars = decision_vars   # branch on 1..decision_vars only
         lits, nv = 2 * num_vars + 1, num_vars + 1
         self.values = [0] * lits       # lit-indexed: 1 true, -1 false, 0 unset
-        self.watches = [None] * lits   # lit-indexed lists of clauses watching lit
+        # lit-indexed lists of clauses watching lit
+        self.watches = [[] for _ in range(lits)]
         self.level = [0] * nv          # var-indexed tables from here down
         self.reason = [None] * nv
+        # jitter(v) == (derive(seed, v) % 997) * 1e-12, the first mix
+        # hoisted; variables above decision_vars are never picked
+        base = mix64(seed ^ _GAMMA)
         self.activity = [0.0] * nv
+        for v in range(1, decision_vars + 1):
+            self.activity[v] = (mix64(base ^ ((v + 1) * _GAMMA)) % 997) * 1e-12
         self.saved_phase = [False] * nv
-        self.active_vars = array("i")   # in activation order
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -112,27 +109,8 @@ class CdclSolver:
         self.max_learnts = 30000.0
         self.n_problem = 0
         self.stats = SolveStats()
-        # jitter(v) == (derive(seed, v) % 997) * 1e-12, the first mix hoisted
-        self._jitter_base = mix64(seed ^ _GAMMA)
-        self._rescales = 0
 
     # -- storage -------------------------------------------------------------
-
-    def _activate(self, v):
-        """First mention of v in a stored clause: watch lists and jitter.
-
-        The jitter, a tiny seeded activity that breaks equal-activity ties
-        by seed, is scaled by every rescale so far, one factor at a time
-        as `_rescale` scales the active variables: a single power of the
-        factor rounds differently once values reach the subnormal range.
-        """
-        self.active_vars.append(v)
-        self.watches[v] = []
-        self.watches[-v] = []
-        act = (mix64(self._jitter_base ^ ((v + 1) * _GAMMA)) % 997) * 1e-12
-        for _ in range(self._rescales):
-            act *= _RESCALE_FACTOR
-        self.activity[v] = act
 
     def add_clause(self, lits) -> bool:
         """Add a problem clause; returns False once the formula is known unsat.
@@ -171,16 +149,12 @@ class CdclSolver:
         if not out:
             self.unsat = True
             return False
-        watches = self.watches
-        for lit in out:
-            if watches[lit] is None:
-                self._activate(lit if lit > 0 else -lit)
         self.n_problem += 1
         if len(out) == 1:
             self._assign(out[0], None)
             return True
-        watches[out[0]].append(out)
-        watches[out[1]].append(out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
         return True
 
     # -- trail ---------------------------------------------------------------
@@ -214,7 +188,7 @@ class CdclSolver:
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
-        if len(heap) > 2 * len(self.active_vars):
+        if len(heap) > 2 * decision_vars:
             self._rebuild_heap()
 
     # -- propagation ---------------------------------------------------------
@@ -270,19 +244,17 @@ class CdclSolver:
 
     def _rescale(self):
         activity = self.activity
-        for v in self.active_vars:
-            activity[v] *= _RESCALE_FACTOR
+        activity[:] = [act * _RESCALE_FACTOR for act in activity]
         self.var_inc *= _RESCALE_FACTOR
-        self._rescales += 1
         self._rebuild_heap()
 
     def _rebuild_heap(self):
-        """One current entry per active, unassigned decision variable."""
+        """One current entry per unassigned decision variable."""
         activity = self.activity
         values = self.values
-        decision_vars = self.decision_vars
-        self.heap = [(-activity[v], v) for v in self.active_vars
-                     if v <= decision_vars and values[v] == 0]
+        self.heap = [(-activity[v], v)
+                     for v in range(1, self.decision_vars + 1)
+                     if values[v] == 0]
         heapq.heapify(self.heap)
 
     def _analyze(self, confl):
@@ -361,11 +333,9 @@ class CdclSolver:
         if removed:
             dead = set(map(id, removed))
             watches = self.watches
-            for v in self.active_vars:
-                for lit in (v, -v):
-                    ws = watches[lit]
-                    if ws:
-                        watches[lit] = [c for c in ws if id(c) not in dead]
+            for lit, ws in enumerate(watches):
+                if ws:
+                    watches[lit] = [c for c in ws if id(c) not in dead]
             self.learnts = kept
             self.stats.deleted += len(removed)
         self.max_learnts *= 1.3
@@ -377,9 +347,9 @@ class CdclSolver:
 
         Returns to decision level 0 before returning, whatever the outcome,
         so the solver stays usable for further clauses and calls.  UNSAT is
-        permanent; later calls return it immediately.  A SAT model reports
-        active variables left unassigned (only possible above
-        decision_vars) as true.
+        permanent; later calls return it immediately.  A SAT model maps
+        every variable in 1..num_vars and reports those left unassigned
+        (only possible above decision_vars) as true.
 
         A None budget never runs out; a budget of zero or less answers
         UNKNOWN without searching.  A NaN budget raises ValueError, as
@@ -433,7 +403,8 @@ class CdclSolver:
                 lit = self._pick_branch()
                 if lit is None:
                     values = self.values
-                    model = {v: values[v] != -1 for v in self.active_vars}
+                    model = {v: values[v] != -1
+                             for v in range(1, self.num_vars + 1)}
                     self._backtrack(0)
                     return SolveOutcome(SAT, model, stats)
                 stats.decisions += 1

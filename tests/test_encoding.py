@@ -182,7 +182,11 @@ def descent_models(flt, lazy):
             solver.add_clause(c)
         loaded.clauses.extend(clauses)
 
-    load(build_cnf(lay, lazy=lazy).clauses)
+    base = build_cnf(lay, lazy=lazy).clauses
+    # every cover variable occurs in the base formula under both methods
+    assert set(range(1, lay.n_cover_vars + 1)) <= {abs(l) for c in base
+                                                   for l in c}
+    load(base)
     k, models = lay.k, 0
     while k >= 1:
         out = solver.solve()

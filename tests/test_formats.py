@@ -73,6 +73,8 @@ def test_multiple_initial_states_round_trip():
      "duplicate filter", 2),
     ("states 1\nstates 1\ninitial 0\nout 0 g", "duplicate states", 2),
     ("states x\ninitial 0\nout 0 g", "non-negative count", 1),
+    ("states ²\ninitial 0\nout 0 g", "non-negative count", 1),
+    ("states 1\ninitial ¹\nout 0 g", "one state id", 2),
     ("states 1\ninitial 0\nout 0 g\ntrans 0 a", "src label dst", 4),
 ])
 def test_parse_errors(text, fragment, line):

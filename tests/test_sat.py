@@ -121,7 +121,7 @@ def test_tautologies_and_duplicates_normalized():
     assert s.n_problem == 1
     out = s.solve()
     assert out.status == SAT
-    assert 1 not in out.model        # never mentioned by a live clause
+    assert out.model[1] is False     # in no clause: decided at its default phase
     # a repeated literal inside a long clause is stored once, in order
     s.add_clause([4, 5, 6, 7, 8, 9, 5, 10, 11, 4])
     assert s.watches[4] == [[4, 5, 6, 7, 8, 9, 10, 11]]
@@ -146,18 +146,17 @@ def test_root_simplification_tracks_problem_count():
     assert out.status == SAT and out.model[7]
 
 
-def test_partial_model_mentions_active_vars_only():
+def test_model_maps_every_variable():
     s = fresh([[2], [10, -2]])
     out = s.solve()
     assert out.status == SAT
-    assert set(out.model) <= {2, 10}
-    assert 9 not in out.model
+    assert set(out.model) == set(range(1, 11))
     # every literal must name a variable of the fixed range 1..num_vars
     s = CdclSolver(3)
     for clause in ([0, 1], [4], [-4], [1, -4]):
         with pytest.raises(ValueError):
             s.add_clause(clause)
-    assert s.n_problem == 0 and not s.active_vars
+    assert s.n_problem == 0
     # a clause an earlier literal made vacuous is dropped unread
     assert s.add_clause([1, -1, 4]) is True
 
@@ -201,37 +200,12 @@ def test_model_assignment_respects_polarity():
     assert out.model[2] is False
 
 
-def test_per_variable_work_follows_the_loaded_formula():
-    s = CdclSolver(num_vars=100_000, seed=5)
-    for c in ([3, 40, -7], [-3, 99_999], [7, -40, 12], [-99_999, 40, 12],
-              [12]):
-        s.add_clause(c)
-    out = s.solve()
-    assert out.status == SAT and out.stats.conflicts == 0
-    active = {3, 7, 12, 40, 99_999}
-    assert set(out.model) == active
-    assert {v for v in range(1, s.num_vars + 1)
-            if s.watches[v] is not None} == active
-    # heap invariant: every active unassigned variable has a current entry
-    entries = set(s.heap)
-    unassigned = {v for v in active if s.values[v] == 0}
-    assert unassigned == active - {12}
-    for v in unassigned:
-        assert (-s.activity[v], v) in entries
-    # no conflict bumped anything: active variables hold just their jitter
-    for v in active:
-        assert s.activity[v] == (derive(5, v) % 997) * 1e-12
-    for v in set(range(1, s.num_vars + 1)) - active:
-        assert s.activity[v] == 0.0
-        assert s.watches[v] is None and s.watches[-v] is None
-
-
 def assert_heap_invariant(s):
-    """Every active unassigned decision variable has a current entry, and
-    no other variable has any."""
+    """Every unassigned decision variable has a current entry, and no other
+    variable has any."""
     entries = set(s.heap)
-    for v in s.active_vars:
-        if v <= s.decision_vars and s.values[v] == 0:
+    for v in range(1, s.decision_vars + 1):
+        if s.values[v] == 0:
             assert (-s.activity[v], v) in entries
     assert all(v <= s.decision_vars for _, v in entries)
 
@@ -247,7 +221,7 @@ def test_rescale_keeps_heap_and_jitter_scaled():
     assert model_satisfies(cls, out.model)
     assert s.var_inc < 1
     assert_heap_invariant(s)
-    # a variable activated after the rescale gets its jitter scaled too
+    # a variable no clause mentioned yet was scaled with the rest
     s.add_clause([65, -66])
     assert s.activity[65] == (derive(7, 65) % 997) * 1e-12 * 1e-100
     # the same after a rescale under restricted branching; the pigeons of
@@ -279,6 +253,10 @@ def test_unassigned_non_decision_vars_read_true():
     # decision; then [2, 3, 4] forces 4, while -3 came from [-1, -3]
     assert out.stats.decisions == 1
     assert out.model == {1: True, 2: False, 3: False, 4: True}
+    # no conflict bumped anything: decision variables hold just their
+    # jitter, and the others start at zero since no pick reads them
+    assert s.activity[1:] == [(derive(0, 1) % 997) * 1e-12,
+                              (derive(0, 2) % 997) * 1e-12, 0.0, 0.0]
     # with 3 no longer forced, neither 3 nor 4 is ever assigned: both are
     # reported true, the decision variables as assigned
     s = CdclSolver(4, decision_vars=2)
@@ -316,7 +294,7 @@ def test_heap_stays_bounded_on_long_search():
         s.add_clause(c)
     out = s.solve()
     assert out.status == UNSAT and out.stats.conflicts > 100
-    # stale entries are dropped once they outnumber twice the active
+    # stale entries are dropped once they outnumber twice the decision
     # variables: without that this run ends with thousands of entries
-    bound = 2 * len(s.active_vars)
+    bound = 2 * s.decision_vars
     assert s.max_heap <= bound and len(s.heap) <= bound
