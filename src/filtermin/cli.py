@@ -14,7 +14,7 @@ from typing import Optional
 from .bench import SUITES, run_bench
 from .encoding import build_cnf, build_layout, write_lp
 from .filters import (is_deterministic, output_simulates, strip_unreachable)
-from .formats import (FltError, parse_flt, write_dimacs, write_flt,
+from .formats import (FltError, integer, parse_flt, write_dimacs, write_flt,
                       write_stats_csv, write_varmap)
 from .generate import GenParams, GenerationError, generate
 from .minimize import Budget, METHOD_LAZY, METHOD_SAT, minimize
@@ -34,14 +34,14 @@ def _emit(text: str, path: Optional[str]):
 
 
 def nonnegative_int(text: str) -> int:
-    n = int(text)
+    n = integer(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
 
 
 def positive_int(text: str) -> int:
-    n = int(text)
+    n = integer(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=(METHOD_SAT, METHOD_LAZY),
                    default=METHOD_SAT)
     p.add_argument("--timeout-ms", type=nonnegative_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", default=None, help="output .flt path (default stdout)")
     p.add_argument("--stats", default=None, help="per-iteration CSV path")
     p.set_defaults(func=_cmd_minimize)
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", type=positive_int, default=5)
     p.add_argument("--outputs-per-state", type=positive_int, default=2)
     p.add_argument("--observations", type=positive_int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--repeats", type=positive_int, default=3)
     p.add_argument("--csv", default=None, help="CSV output path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--timeout-ms", type=nonnegative_int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--no-timing", action="store_true",

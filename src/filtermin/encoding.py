@@ -316,27 +316,15 @@ def assignment_satisfies(formula: CnfFormula, asg) -> bool:
 class FeasibilityReport:
     """Per-family verdicts for one assignment against one rendering.
 
-    `uncovered_reachable` is informational: the integer renderings only pin
-    the initial state into the cover, so a reachable state every subset
-    omits is worth surfacing even though no row fails on it.
+    `families` maps each constraint family to whether all its rows hold.
     """
 
     families: dict
     objective: int
-    uncovered_reachable: tuple
 
     @property
     def feasible(self) -> bool:
         return all(self.families.values())
-
-
-def _uncovered(layout: VarLayout, asg) -> tuple:
-    out = []
-    for v in range(layout.n):
-        if not any(asg.get(layout.r_index(i, v), False)
-                   for i in range(1, layout.k + 1)):
-            out.append(v)
-    return tuple(out)
 
 
 def eval_inp(layout: VarLayout, asg) -> FeasibilityReport:
@@ -390,8 +378,7 @@ def eval_inp(layout: VarLayout, asg) -> FeasibilityReport:
             break
     fam["out"] = out_ok
     objective = sum(q(i) for i in range(1, k + 1))
-    return FeasibilityReport(families=fam, objective=objective,
-                             uncovered_reachable=_uncovered(layout, asg))
+    return FeasibilityReport(families=fam, objective=objective)
 
 
 # LP row-name prefix -> family, in report order
@@ -426,8 +413,7 @@ def eval_ilp(layout: VarLayout, asg) -> FeasibilityReport:
             total, rhs = lhs(terms), int(rhs)
             if (total > rhs) if sense == "<=" else (total < rhs):
                 fam[_LP_FAMILIES[name.split("_")[0]]] = False
-    return FeasibilityReport(families=fam, objective=objective,
-                             uncovered_reachable=_uncovered(layout, asg))
+    return FeasibilityReport(families=fam, objective=objective)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ filter's interaction language.
 
 This module keeps all value-level semantics in one place:
 
-* tracing and outputs: the observation-children and the colors of a state
-  set (`children_of_set`, `outputs_of`), `trace` and `colors_of`,
-* determinism checking, subset-construction determinization, and the
-  input check minimization makes (`require_minimizable`),
+* the observation-children of a state set (`children_of_set`),
+* determinism and reachability checks, unreachable-state stripping, and
+  the input check minimization makes (`require_minimizable`),
 * output simulation between two filters (`output_simulates`),
 * vertex covers and their machinery: zipped-ness, common outputs, and the
   smaller filter induced by a zipped cover,
@@ -135,7 +134,7 @@ class Filter:
 
 
 # ---------------------------------------------------------------------------
-# tracing and outputs
+# children of a state set
 
 def children_of_set(f: Filter, group, y) -> frozenset:
     """Union of y-successors over a state set."""
@@ -145,45 +144,8 @@ def children_of_set(f: Filter, group, y) -> frozenset:
     return frozenset(out)
 
 
-def outputs_of(f: Filter, group) -> frozenset:
-    """Union of colors over a state set."""
-    out = set()
-    for v in group:
-        out.update(f.coloring[v])
-    return frozenset(out)
-
-
-def trace(f: Filter, start, s) -> frozenset:
-    """States reached from `start` on observation string `s`.
-
-    Crashing (no run survives) yields the empty set.  A token outside the
-    declared alphabet is a malformed input and is rejected, which is a
-    different thing than a crash on a declared token with no edge.
-    """
-    current = frozenset(start)
-    if not current <= set(range(f.n_states)):
-        raise ValueError("trace start set out of range")
-    for y in s:
-        if y not in f.observations:
-            raise ValueError(f"unknown observation token {y!r}")
-        current = children_of_set(f, current, y)
-        if not current:
-            return frozenset()
-    return current
-
-
-def colors_of(f: Filter, s) -> frozenset:
-    """Union of colors over the states reached from the initial set on `s`."""
-    return outputs_of(f, trace(f, f.initial, s))
-
-
-def interaction_alive(f: Filter, s) -> bool:
-    """True when `s` is in the filter's interaction language (does not crash)."""
-    return bool(trace(f, f.initial, s))
-
-
 # ---------------------------------------------------------------------------
-# determinism
+# determinism and reachability
 
 def is_deterministic(f: Filter) -> bool:
     """One initial state and at most one y-child per (state, observation)."""
@@ -200,37 +162,6 @@ def require_minimizable(f: Filter) -> None:
         raise ValueError("minimization needs a deterministic filter")
     if reachable_states(f) != frozenset(range(f.n_states)):
         raise ValueError("minimization needs every state reachable")
-
-
-def determinize(f: Filter) -> Filter:
-    """Subset construction over the reachable part.
-
-    State-set colors are unioned, so outputs per string are preserved
-    exactly.  Result states are numbered in BFS discovery order, with the
-    observation alphabet scanned in declared order, so the construction is
-    reproducible.
-    """
-    start = frozenset(f.initial)
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    succ = {}
-    while queue:
-        cur = queue.popleft()
-        i = index[cur]
-        for y in f.observations:
-            nxt = children_of_set(f, cur, y)
-            if not nxt:
-                continue
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            succ[(i, y)] = (index[nxt],)
-    coloring = {i: outputs_of(f, group) for i, group in enumerate(order)}
-    return Filter(n_states=len(order), initial=frozenset({0}),
-                  observations=f.observations, succ=succ, colors=f.colors,
-                  coloring=coloring, name=f.name + "_det")
 
 
 def reachable_states(f: Filter) -> frozenset:
@@ -313,8 +244,9 @@ def output_simulates(candidate: Filter, reference: Filter) -> SimulationVerdict:
         elif len(cand_set) >= 2:
             kind = NONDETERMINISTIC
         else:
-            got = outputs_of(candidate, cand_set)
-            want = outputs_of(reference, ref_set)
+            (v,) = cand_set
+            got = candidate.coloring[v]
+            want = frozenset().union(*(reference.coloring[u] for u in ref_set))
             if not got or not got <= want:
                 kind = COLOR_ESCAPE
         if kind is not None:
@@ -404,11 +336,6 @@ def find_zip_violation(cover: Cover):
 
 def is_zipped(cover: Cover) -> bool:
     return find_zip_violation(cover) is None
-
-
-def identity_cover(f: Filter) -> Cover:
-    """The singleton-per-state cover; always valid and zipped."""
-    return Cover(tuple(frozenset((v,)) for v in range(f.n_states)), f)
 
 
 def induced_filter(cover: Cover) -> Filter:
@@ -623,50 +550,3 @@ def merged_cover(f: Filter, pairs=None) -> Cover:
     for v in range(f.n_states):
         blocks.setdefault(find(block_of[v]), []).append(v)
     return Cover(tuple(blocks.values()), f)
-
-
-# ---------------------------------------------------------------------------
-# helpers for tests and benchmarks
-
-def sample_language(f: Filter, rng, max_len: int) -> tuple:
-    """A random string from the filter's interaction language (never crashes)."""
-    current = frozenset(f.initial)
-    want = rng.randbelow(max_len + 1)
-    out = []
-    for _ in range(want):
-        options = sorted({y for v in current for y in f.observations
-                          if f.children(v, y)})
-        if not options:
-            break
-        y = options[rng.randbelow(len(options))]
-        out.append(y)
-        current = children_of_set(f, current, y)
-    return tuple(out)
-
-
-def canonical_key(f: Filter):
-    """Isomorphism key for the reachable part of a deterministic filter.
-
-    Two deterministic filters get equal keys exactly when renumbering
-    states makes them identical (same tokens, same structure, same colors).
-    """
-    if not is_deterministic(f):
-        raise ValueError("canonical_key needs a deterministic filter")
-    v0 = next(iter(f.initial))
-    index = {v0: 0}
-    order = [v0]
-    queue = deque([v0])
-    while queue:
-        v = queue.popleft()
-        for y in sorted(f.observations):
-            for w in f.children(v, y):
-                if w not in index:
-                    index[w] = len(order)
-                    order.append(w)
-                    queue.append(w)
-    # the search above indexes every successor of an indexed state
-    edges = sorted((index[src], y, index[dst])
-                   for (src, y), dsts in f.succ.items() if src in index
-                   for dst in dsts)
-    colors = tuple(tuple(sorted(f.coloring[v])) for v in order)
-    return (len(order), colors, tuple(edges))

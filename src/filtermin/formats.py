@@ -1,4 +1,4 @@
-"""Text formats: the .flt filter format, DIMACS CNF, varmap, CSV, dot.
+"""Text formats: the .flt filter format, DIMACS CNF, varmap, stats CSV.
 
 The .flt format, one directive per line::
 
@@ -32,6 +32,7 @@ from .minimize import MinimizeReport
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 _NUMBER = re.compile(r"[0-9]+\Z")   # str.isdigit also takes '²', int() does not
+_INTEGER = re.compile(r"-?[0-9]+\Z")  # int() also takes '١', '1_0' and '+1'
 
 STATS_HEADER = "method,k,outcome,elapsed_ms,clauses_in_solver,best_size_so_far"
 
@@ -42,6 +43,13 @@ class FltError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def integer(text: str) -> int:
+    """A number as the formats spell it: ASCII digits, optional leading minus."""
+    if not _INTEGER.match(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _check_token(tok, line, what):
@@ -165,7 +173,8 @@ def parse_dimacs(text: str):
 
     There must be exactly one problem line, with non-negative counts.
     Clauses must follow it, and every literal must name a variable in
-    1..num_vars, the range `CdclSolver(num_vars)` accepts.
+    1..num_vars, the range `CdclSolver(num_vars)` accepts.  Numbers are
+    spelled as `integer` reads them.
     """
     num_vars = None
     n_clauses = None
@@ -177,18 +186,18 @@ def parse_dimacs(text: str):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line {line!r}")
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not all(map(_NUMBER.match, parts[2:]))):
+                raise ValueError(f"bad problem line {line!r}, want 'p cnf' "
+                                 f"and two non-negative counts")
             if num_vars is not None:
                 raise ValueError(f"second problem line {line!r}")
             num_vars, n_clauses = int(parts[2]), int(parts[3])
-            if num_vars < 0 or n_clauses < 0:
-                raise ValueError(f"negative count in problem line {line!r}")
             continue
         if num_vars is None:
             raise ValueError(f"missing problem line before {line!r}")
         for tok in line.split():
-            lit = int(tok)
+            lit = integer(tok)
             if abs(lit) > num_vars:
                 raise ValueError(f"literal {lit} outside variables "
                                  f"1..{num_vars}")
@@ -217,7 +226,7 @@ def write_varmap(layout) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV and dot
+# CSV
 
 def write_stats_csv(report: MinimizeReport) -> str:
     rows = [STATS_HEADER]
@@ -227,22 +236,3 @@ def write_stats_csv(report: MinimizeReport) -> str:
                     f"{int(round(it.elapsed_s * 1000))},"
                     f"{it.clauses_in_solver},{best}")
     return "\n".join(rows) + "\n"
-
-
-def write_dot(flt: Filter) -> str:
-    """Graphviz rendering, mostly for eyeballing small filters."""
-    buf = io.StringIO()
-    buf.write(f'digraph {flt.name} {{\n  rankdir=LR;\n')
-    for v in range(flt.n_states):
-        cols = ",".join(sorted(flt.coloring[v],
-                               key=flt.colors.index))
-        shape = "doublecircle" if v in flt.initial else "circle"
-        buf.write(f'  s{v} [label="{v}\\n{cols}" shape={shape}];\n')
-    labels = {}  # one arrow per (src, dst), labelled with all its tokens
-    for (src, y), dsts in flt.succ.items():
-        for dst in dsts:
-            labels.setdefault((src, dst), []).append(y)
-    for (src, dst), ys in sorted(labels.items()):
-        buf.write(f'  s{src} -> s{dst} [label="{",".join(sorted(ys))}"];\n')
-    buf.write("}\n")
-    return buf.getvalue()

@@ -1,7 +1,10 @@
+from collections import deque
+
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from filtermin import Cover, Filter, GenParams, GenerationError, generate
+from filtermin import (Cover, Filter, GenParams, GenerationError, generate,
+                       is_deterministic)
 from filtermin.rng import derive
 
 settings.register_profile(
@@ -153,3 +156,31 @@ def covers_for(draw, flt, allow_empty_subsets=True):
         st.frozensets(st.integers(0, flt.n_states - 1), min_size=min_size),
         min_size=1, max_size=k))
     return Cover(tuple(subsets), flt)
+
+
+def canonical_key(f):
+    """Isomorphism key for the reachable part of a deterministic filter.
+
+    Two deterministic filters get equal keys exactly when renumbering
+    states makes them identical (same tokens, same structure, same colors).
+    """
+    if not is_deterministic(f):
+        raise ValueError("canonical_key needs a deterministic filter")
+    v0 = next(iter(f.initial))
+    index = {v0: 0}
+    order = [v0]
+    queue = deque([v0])
+    while queue:
+        v = queue.popleft()
+        for y in sorted(f.observations):
+            for w in f.children(v, y):
+                if w not in index:
+                    index[w] = len(order)
+                    order.append(w)
+                    queue.append(w)
+    # the search above indexes every successor of an indexed state
+    edges = sorted((index[src], y, index[dst])
+                   for (src, y), dsts in f.succ.items() if src in index
+                   for dst in dsts)
+    colors = tuple(tuple(sorted(f.coloring[v])) for v in order)
+    return (len(order), colors, tuple(edges))

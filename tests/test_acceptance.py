@@ -19,7 +19,7 @@ from filtermin import (BENCH_HEADER, Budget, Cover, GenParams,
                        CdclSolver, assignment_satisfies, brute_minimal,
                        build_cnf, build_layout, common_outputs,
                        extension_from_cover, eval_ilp, eval_inp, generate,
-                       identity_cover, is_deterministic, is_zipped, minimize,
+                       is_deterministic, is_zipped, minimize,
                        output_simulates, run_bench)
 from filtermin.bench import LARGE_SHAPE, MEDIUM_SHAPE
 from filtermin.rng import SplitMix64, derive
@@ -134,11 +134,11 @@ def test_criterion_4_constraint_renderings_agree(small_runs):
         n = flt.n_states
         mode = rng.randbelow(4)
         if mode == 0:
-            cov = identity_cover(flt)
+            cov = Cover(tuple(frozenset({v}) for v in range(n)), flt)
         elif mode == 1:
             cov = witnesses[i]
         elif mode == 2 and n >= 2:
-            groups = [set(s) for s in identity_cover(flt).subsets]
+            groups = [{v} for v in range(n)]
             a, b = rng.sample(n, 2)
             groups[a] |= groups[b]
             del groups[b]

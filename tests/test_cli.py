@@ -220,7 +220,7 @@ def test_bench_status_says_bounds_for_calls_the_bounds_proved():
     assert dict(zip(header, error_row))["status"] == "error"
 
 
-def test_exit_codes_for_usage_errors(capsys, tmp_path):
+def test_exit_codes_for_usage_errors(capsys, tmp_path, chain3_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "minimize", "x.flt", "--method", "magic")[0] == 2
@@ -235,9 +235,15 @@ def test_exit_codes_for_usage_errors(capsys, tmp_path):
                              flag, value)
         assert code == 2 and flag in err and out == ""
     for flag, value in (("--layers", "0"), ("--self-loops", "-1"),
-                        ("--observations", "0")):
+                        ("--observations", "0"),
+                        # ASCII digits only, as in .flt: int() reads these
+                        ("--width", "1_0"), ("--seed", "٣"),
+                        ("--layers", "+2")):
         code, out, err = run(capsys, "gen", flag, value)
         assert code == 2 and flag in err and out == ""
+    code, out, err = run(capsys, "minimize", "x.flt", "--timeout-ms", "١٠")
+    assert code == 2 and "--timeout-ms" in err and out == ""
+    assert run(capsys, "minimize", chain3_path, "--seed", "-7")[0] == 0
     code, _, err = run(capsys, "export", "x.flt", "--k", "0", "--dimacs",
                        str(tmp_path / "x.cnf"))
     assert code == 2 and "--k" in err

@@ -286,7 +286,6 @@ def test_chain3_all_in_one_cover_feasible_objective_one(chain3):
     assert rep.feasible and rep.objective == 1
     rep2 = eval_ilp(lay, asg)
     assert rep2.feasible and rep2.objective == 1
-    assert rep.uncovered_reachable == ()
 
 
 def test_unzipped_cover_fails_zip_families(twocolor):
@@ -314,7 +313,6 @@ def test_uncovered_initial_fails_valid_cover(twocolor):
     asg = extension_from_cover(lay, cov)
     assert not eval_inp(lay, asg).families["valid_cover"]
     assert not eval_ilp(lay, asg).families["valid_cover"]
-    assert 0 in eval_inp(lay, asg).uncovered_reachable
 
 
 def test_uncovered_state_is_informational_only(twocolor):
@@ -324,7 +322,9 @@ def test_uncovered_state_is_informational_only(twocolor):
     asg = extension_from_cover(lay, cov)
     rep = eval_inp(lay, asg)
     assert not rep.families["valid_cover"]      # 0 not covered
-    assert set(rep.uncovered_reachable) == {0, 1, 2}
+    # 1 and 2 are uncovered too, yet no other family fails on them
+    assert [fam for fam, ok in rep.families.items() if not ok] == [
+        "valid_cover"]
 
 
 # -- LP export -----------------------------------------------------------------

@@ -1,21 +1,19 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from filtermin import (Cover, Filter, GenParams, canonical_key,
-                       children_of_set, clique_lower_bound, colors_of,
-                       common_outputs, determinize, find_zip_violation,
-                       generate, identity_cover, incompatible_pairs,
-                       induced_filter, interaction_alive, is_deterministic,
-                       is_zipped, merged_cover, output_simulates,
-                       partition_cover, reachable_states, sample_language,
-                       strip_unreachable, trace)
+from filtermin import (Cover, Filter, GenParams, children_of_set,
+                       clique_lower_bound, common_outputs, find_zip_violation,
+                       generate, incompatible_pairs, induced_filter,
+                       is_deterministic, is_zipped, merged_cover,
+                       output_simulates, partition_cover, reachable_states,
+                       strip_unreachable)
 from filtermin.bench import LARGE_SHAPE
 from filtermin.filters import CRASH, COLOR_ESCAPE, NONDETERMINISTIC
-from filtermin.rng import SplitMix64, derive
+from filtermin.rng import derive
 
-from conftest import small_filters
+from conftest import canonical_key, small_filters
 
 
 # -- construction ------------------------------------------------------------
@@ -50,36 +48,6 @@ def test_duplicate_alphabet_token_rejected():
         Filter.build(1, [0], [], {0: ["g"]}, observations=("a", "a"))
 
 
-# -- tracing -----------------------------------------------------------------
-
-def test_trace_follows_the_chain(chain3):
-    assert trace(chain3, {0}, ()) == frozenset({0})
-    assert trace(chain3, {0}, ("a",)) == frozenset({1})
-    assert trace(chain3, {0}, ("a", "a", "a")) == frozenset({2})
-
-
-def test_trace_unknown_token_rejects_not_crashes(chain3):
-    # CHAIN3's alphabet is just {a}; "b" is malformed input
-    with pytest.raises(ValueError, match="unknown observation"):
-        trace(chain3, {2}, ("b",))
-
-
-def test_trace_declared_token_without_edge_crashes(chain3_wide):
-    assert trace(chain3_wide, {2}, ("b",)) == frozenset()
-    assert not interaction_alive(chain3_wide, ("a", "b"))
-
-
-def test_trace_validates_start_states(chain3):
-    with pytest.raises(ValueError, match="out of range"):
-        trace(chain3, {9}, ())
-
-
-def test_colors_of(twocolor):
-    assert colors_of(twocolor, ()) == frozenset({"g"})
-    assert colors_of(twocolor, ("a",)) == frozenset({"r"})
-    assert colors_of(twocolor, ("a", "a")) == frozenset({"g"})
-
-
 # -- determinism -------------------------------------------------------------
 
 def test_chain3_is_deterministic(chain3):
@@ -97,18 +65,6 @@ def test_two_initial_states_is_nondeterministic():
     assert not is_deterministic(f)
 
 
-def test_determinize_produces_equivalent_deterministic_filter():
-    f = Filter.build(3, [0], [(0, "a", 1), (0, "a", 2), (1, "b", 1), (2, "b", 2)],
-                     [["g"], ["r"], ["u"]])
-    g = determinize(f)
-    assert is_deterministic(g)
-    assert g.name == f.name + "_det"
-    rng = SplitMix64(7)
-    for _ in range(50):
-        s = sample_language(f, rng, 6)
-        assert colors_of(g, s) == colors_of(f, s)
-
-
 def test_strip_unreachable_renumbers():
     f = Filter.build(4, [0], [(0, "a", 1), (1, "a", 1), (2, "a", 3), (3, "a", 2)],
                      [["g"], ["r"], ["g"], ["g"]])
@@ -116,7 +72,7 @@ def test_strip_unreachable_renumbers():
     assert removed == (2, 3)
     assert g.n_states == 2
     assert reachable_states(g) == frozenset({0, 1})
-    assert colors_of(g, ("a",)) == colors_of(f, ("a",))
+    assert output_simulates(g, f).holds and output_simulates(f, g).holds
 
 
 def test_strip_unreachable_noop_returns_same_object(chain3):
@@ -199,7 +155,8 @@ def test_zip_violation_reports_first_by_subset_then_obs(twocolor):
 
 
 def test_identity_cover_always_works(twocolor):
-    c = identity_cover(twocolor)
+    c = Cover(tuple(frozenset({v}) for v in range(twocolor.n_states)),
+              twocolor)
     assert c.is_valid() and is_zipped(c)
     g = induced_filter(c)
     assert g.n_states == twocolor.n_states
@@ -230,7 +187,17 @@ def test_induced_filter_skips_empty_subsets(twocolor):
     assert induced_filter(c).n_states == 3
 
 
-# -- helpers -----------------------------------------------------------------
+@given(small_filters())
+def test_identity_cover_roundtrip_property(flt):
+    # the induced filter keeps one color per subset, so only behavior is
+    # preserved, not the full coloring
+    g = induced_filter(
+        Cover(tuple(frozenset({v}) for v in range(flt.n_states)), flt))
+    assert g.n_states == flt.n_states
+    assert output_simulates(g, flt).holds
+
+
+# -- test helpers --------------------------------------------------------------
 
 def test_canonical_key_invariant_under_renumbering(twocolor):
     # same diamond with states 1 and 2 swapped
@@ -244,22 +211,6 @@ def test_canonical_key_invariant_under_renumbering(twocolor):
         [(0, "a", 1), (0, "b", 2), (1, "a", 3), (2, "a", 3), (3, "a", 3)],
         [["g"], ["r"], ["r"], ["r"]], name="twocolor")
     assert canonical_key(h) != canonical_key(twocolor)
-
-
-@given(small_filters(), st.integers(0, 2**32))
-def test_sampled_strings_stay_in_language(flt, seed):
-    rng = SplitMix64(seed)
-    s = sample_language(flt, rng, 8)
-    assert interaction_alive(flt, s)
-
-
-@given(small_filters())
-def test_identity_cover_roundtrip_property(flt):
-    # the induced filter keeps one color per subset, so only behavior is
-    # preserved, not the full coloring
-    g = induced_filter(identity_cover(flt))
-    assert g.n_states == flt.n_states
-    assert output_simulates(g, flt).holds
 
 
 # -- size bounds ---------------------------------------------------------------

@@ -1,12 +1,19 @@
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (Budget, Filter, FltError, METHOD_SAT, STATS_HEADER,
-                       build_layout, canonical_key, minimize, parse_dimacs,
-                       parse_flt, write_dimacs, write_dot, write_flt,
-                       write_stats_csv, write_varmap)
+from filtermin import (Budget, FltError, METHOD_SAT, STATS_HEADER,
+                       build_layout, minimize, parse_dimacs, parse_flt,
+                       write_dimacs, write_flt, write_stats_csv, write_varmap)
 
 from conftest import small_filters
+
+
+def same_filter(a, b):
+    """The parser keeps state ids, so a round trip must give back the same
+    states, edges and colors; only the observation order may change."""
+    return (a.n_states == b.n_states and a.initial == b.initial
+            and a.succ == b.succ and a.coloring == b.coloring
+            and set(a.observations) == set(b.observations))
 
 
 def test_write_parse_write_fixed_point(chain3, twocolor):
@@ -14,7 +21,7 @@ def test_write_parse_write_fixed_point(chain3, twocolor):
         once = write_flt(flt)
         again = write_flt(parse_flt(once))
         assert once == again
-        assert canonical_key(parse_flt(once)) == canonical_key(flt)
+        assert same_filter(parse_flt(once), flt)
 
 
 @given(small_filters())
@@ -22,7 +29,7 @@ def test_write_parse_write_fixed_point(chain3, twocolor):
 def test_round_trip_generated(flt):
     text = write_flt(flt)
     back = parse_flt(text)
-    assert canonical_key(back) == canonical_key(flt)
+    assert same_filter(back, flt)
     # one parse re-derives the color alphabet in first-appearance order;
     # from there on, write <-> parse is byte-stable
     canon = write_flt(back)
@@ -117,6 +124,10 @@ def test_dimacs_accepts_comments_and_multiline_clauses():
     ("1 0\np cnf 1 1\n", "missing problem line before '1 0'"),
     ("p cnf -2 0\n", "negative count"),
     ("p cnf 3 1\n1 0\np cnf 1 1\n", "second problem line"),
+    # ASCII digits only, as in .flt: int() would read these as 2, 10 and 1
+    ("p cnf ٢ 1\n١ 0\n", "negative count"),
+    ("p cnf 20 1\n1_0 0\n", "not an integer: '1_0'"),
+    ("p cnf 2 1\n+1 0\n", "not an integer"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -151,17 +162,3 @@ def test_stats_csv_empty_best_before_an_accepted_cover(gap_unsat):
     report = minimize(gap_unsat, method=METHOD_SAT, budget=Budget(0.0))
     rows = write_stats_csv(report).splitlines()[1:]
     assert rows and all(row.endswith(",") for row in rows)
-
-
-def test_dot_smoke(twocolor):
-    dot = write_dot(twocolor)
-    assert dot.startswith("digraph twocolor {")
-    assert 's0 [label="0\\ng" shape=doublecircle];' in dot
-    assert 's0 -> s1 [label="a"];' in dot
-    assert dot.rstrip().endswith("}")
-    # two tokens on one (src, dst) pair render as one labelled arrow
-    two = Filter.build(2, [0], [(0, "b", 1), (0, "a", 1), (1, "a", 1)],
-                       [["g"], ["g"]], name="two")
-    dot = write_dot(two)
-    assert dot.count("s0 -> s1") == 1
-    assert 's0 -> s1 [label="a,b"];' in dot

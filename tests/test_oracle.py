@@ -38,6 +38,11 @@ def test_cap_equal_to_answer_is_fine(twocolor):
     assert brute_minimal(twocolor, cap=3).minimal_size == 3
 
 
+def test_cap_below_one_rejected(twocolor):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        brute_minimal(twocolor, cap=0)
+
+
 @pytest.mark.parametrize("method", [METHOD_SAT, METHOD_LAZY])
 @given(flt=small_filters())
 @settings(max_examples=20, deadline=None)

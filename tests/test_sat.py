@@ -104,6 +104,13 @@ def test_negative_variable_count_rejected():
         CdclSolver(-2)
 
 
+def test_decision_vars_outside_the_variables_rejected():
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=r"decision variables must be 0\.\.3"):
+            CdclSolver(3, decision_vars=bad)
+    assert CdclSolver(3, decision_vars=0).solve().status == SAT
+
+
 def test_conflicting_units_unsat():
     s = fresh([[4], [-4]])
     assert s.solve().status == UNSAT
