@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Optional
 
 CRASH = "crash"
@@ -412,26 +410,20 @@ def incompatible_pairs(f: Filter) -> frozenset:
     return frozenset(pairs)
 
 
-def _clash_masks(f: Filter, pairs) -> list:
-    """Per state, the bitmask of the states it is incompatible with."""
-    masks = [0] * f.n_states
-    for u, w in incompatible_pairs(f) if pairs is None else pairs:
-        masks[u] |= 1 << w
-        masks[w] |= 1 << u
-    return masks
-
-
-def clique_lower_bound(f: Filter, pairs=None) -> tuple:
+def clique_lower_bound(f: Filter) -> tuple:
     """Sorted pairwise-incompatible states: a lower bound on cover size.
 
     A valid cover holds every state, and incompatible states need distinct
     subsets, so every valid zipped cover has at least this many subsets.
-    Greedy: each state seeds a clique in turn, in order of falling
-    incompatibility degree, and grows it by the states in that same order
-    that are incompatible with every member so far; the largest is kept.
-    `pairs` is `incompatible_pairs(f)`, computed here when None.
+    Greedy over `incompatible_pairs(f)`: each state seeds a clique in turn,
+    in order of falling incompatibility degree, and grows it by the states
+    in that same order that are incompatible with every member so far; the
+    largest is kept.
     """
-    adj = _clash_masks(f, pairs)
+    adj = [0] * f.n_states         # per state, the states it clashes with
+    for u, w in incompatible_pairs(f):
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
     order = sorted(range(f.n_states), key=lambda v: (-adj[v].bit_count(), v))
     best = []
     for seed in order:
@@ -478,35 +470,28 @@ def partition_cover(f: Filter) -> Cover:
     return Cover(tuple(classes), f)
 
 
-def merged_cover(f: Filter, pairs=None) -> Cover:
+def merged_cover(f: Filter) -> Cover:
     """A valid zipped cover no larger than `partition_cover`, by merging.
 
     Greedy state merging from the Moore classes: each pair of classes is
     tried once, in order of class number.  A trial merges the two blocks
     under closure, so merging two blocks also merges the blocks of their
-    y-children, for every observation y.  It is kept only if no block it
-    made holds an incompatible pair (`pairs`, computed when None) and each
-    still shares a color; otherwise it is undone.  The Moore classes send
-    each observation's children into one class and closure keeps that
+    y-children, for every observation y.  It is kept only if each block it
+    made still shares a color; otherwise it is undone.  The Moore classes
+    send each observation's children into one class and closure keeps that
     true, so the blocks form a zipped partition.  They are numbered in
-    order of their lowest state.
-
-    The pairs only prune.  A zipped partition whose blocks share a color
-    holds no incompatible pair, so a trial that would put one in a block
-    fails the color check later in its closure anyway; the pairs reject
-    it at its first union instead.
+    order of their lowest state.  A zipped partition whose blocks share a
+    color holds no incompatible pair, so a trial that would join one fails
+    the color check somewhere in its closure.
     """
     classes = partition_cover(f).subsets
-    clash = _clash_masks(f, pairs)
     block_of = [0] * f.n_states
     for b, group in enumerate(classes):
         for v in group:
             block_of[v] = b
-    # per block root: its states, the states they clash with, their shared
-    # colors, and per observation the block of its children
+    # per block root: its shared colors, and per observation the block of
+    # its children
     parent = list(range(len(classes)))
-    members = [sum(1 << v for v in group) for group in classes]
-    clashes = [reduce(or_, (clash[v] for v in group)) for group in classes]
     shared = [frozenset.intersection(*(f.coloring[v] for v in group))
               for group in classes]
     kids = [{y: block_of[f.succ[(v, y)][0]] for y in f.observations
@@ -524,16 +509,13 @@ def merged_cover(f: Filter, pairs=None) -> Cover:
             a, b = sorted(map(find, pending.pop()))
             if a == b:
                 continue
-            if clashes[a] & members[b] or not shared[a] & shared[b]:
+            if not shared[a] & shared[b]:
                 for root, child, *saved in reversed(trail):
                     parent[child] = child
-                    (members[root], clashes[root], shared[root],
-                     kids[root]) = saved
+                    shared[root], kids[root] = saved
                 return
-            trail.append((a, b, members[a], clashes[a], shared[a], kids[a]))
+            trail.append((a, b, shared[a], kids[a]))
             parent[b] = a
-            members[a] |= members[b]
-            clashes[a] |= clashes[b]
             shared[a] &= shared[b]
             kids[a] = dict(kids[a])
             for y, c in kids[b].items():

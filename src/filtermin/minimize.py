@@ -1,12 +1,12 @@
 """Anytime minimization: shrink a size bound with one incremental solver.
 
-Two facts about the filter frame the search before any clause is built,
-both read from its Paull-Unger incompatible pairs, computed once per call.
+Two facts about the filter frame the search before any clause is built.
 Greedy merging of its Moore classes under closure (`merged_cover`) gives a
 valid zipped cover, so it is the first best cover and the fallback when no
 SAT answer arrives.  A clique of pairwise-incompatible states
-(`clique_lower_bound`) needs that many subsets in any valid zipped cover,
-so no cover can be smaller.  When the two meet the call is proven at once,
+(`clique_lower_bound`, over the Paull-Unger incompatible pairs, computed
+once per call) needs that many subsets in any valid zipped cover, so no
+cover can be smaller.  When the two meet the call is proven at once,
 with no solver.
 
 Otherwise one descent loop serves both methods.  It builds the constraint
@@ -44,8 +44,7 @@ from .encoding import (build_cnf, build_layout, ban_size_units,
                        cover_from_model, zip1_clauses_for_state,
                        zip2_clauses_for_obs)
 from .filters import (Cover, Filter, clique_lower_bound, find_zip_violation,
-                      incompatible_pairs, induced_filter, merged_cover,
-                      require_minimizable)
+                      induced_filter, merged_cover, require_minimizable)
 from .sat import SAT, UNSAT, CdclSolver
 
 METHOD_SAT = "sat"
@@ -168,19 +167,19 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
     """Descend the size bound from the merged cover to the clique bound.
 
     The merged cover is the first best cover, and its size the report's
-    upper bound; the clique bound is the lower bound.  Both come from one
-    `incompatible_pairs` closure.  When they meet the call returns proven
-    with no solver and no iteration row.  Otherwise the descent starts one
-    below the merged cover's size.  Each bound runs solve, decode and zip
-    check; a violation reloads zip groups and solves again, an accepted
-    cover of size s bans every slot from s up to k and the descent
-    continues at k = s - 1.  Every reload round strictly grows the loaded
-    set, so the inner loop terminates.  The descent ends proven when k
-    falls below the lower bound or a bound is unsatisfiable, and unproven
-    when the budget ends, with the best cover so far (the merged cover if
-    the solver accepted none).  Under `sat` every group is loaded up front
-    and a violation is an encoding bug.  The budget starts before the
-    bounds and the build; if they use it up, the first solve answers
+    upper bound; the clique bound, read from the call's one
+    `incompatible_pairs` closure, is the lower bound.  When they meet the
+    call returns proven with no solver and no iteration row.  Otherwise the
+    descent starts one below the merged cover's size.  Each bound runs
+    solve, decode and zip check; a violation reloads zip groups and solves
+    again, an accepted cover of size s bans every slot from s up to k and
+    the descent continues at k = s - 1.  Every reload round strictly grows
+    the loaded set, so the inner loop terminates.  The descent ends proven
+    when k falls below the lower bound or a bound is unsatisfiable, and
+    unproven when the budget ends, with the best cover so far (the merged
+    cover if the solver accepted none).  Under `sat` every group is loaded
+    up front and a violation is an encoding bug.  The budget starts before
+    the bounds and the build; if they use it up, the first solve answers
     unknown at once.
     """
     if method not in (METHOD_SAT, METHOD_LAZY):
@@ -190,9 +189,8 @@ def minimize(flt: Filter, method: str = METHOD_SAT,
         budget = Budget(None)
     budget.start()
     require_minimizable(flt)
-    pairs = incompatible_pairs(flt)
-    best = merged_cover(flt, pairs)
-    lower = len(clique_lower_bound(flt, pairs))
+    best = merged_cover(flt)
+    lower = len(clique_lower_bound(flt))
     loaded_obs = set()          # observations with routing clauses in
     loaded_pairs = set()        # (state, obs) with containment clauses in
     iterations = []

@@ -20,15 +20,17 @@ variables by default), as in MiniSat's decision-variable flag.  Each
 decision variable starts with a tiny seeded activity, its jitter, that
 breaks equal-activity ties by seed.  The solver keeps one invariant:
 every unassigned decision variable has an entry in the VSIDS heap
-carrying its current activity.  Each solve starts from a heap rebuilt
-from the unassigned decision variables, backtracking pushes every one it
-unassigns, and bumps push the new activity.  Older entries go stale and
-are skipped when popped, so a drained heap means every decision variable
-is assigned.  Stale entries are also dropped in bulk: once the heap holds
-more than twice as many entries as there are decision variables,
-backtracking rebuilds it.  Neither rebuild changes a pick, since a pick
-takes the smallest current (-activity, v) entry and skips stale ones
-anyway, and the bulk rebuild bounds the heap however long a search runs.
+carrying its current activity.  The heap is built once, from every
+decision variable, at construction; backtracking pushes every variable it
+unassigns, and bumps push the new activity.  Each solve ends at level 0,
+so the invariant holds between solves with no rebuild.  Older entries
+go stale and are skipped when popped, so a drained heap means every
+decision variable is assigned.  Stale entries are also dropped in bulk:
+once the heap holds more than twice as many entries as there are decision
+variables, backtracking rebuilds it, as a rescale does.  No rebuild
+changes a pick, since a pick takes the smallest current (-activity, v)
+entry and skips stale ones anyway, and the bulk rebuild bounds the heap
+however long a search runs.
 
 A solve answers SAT when the heap is drained and propagation is quiet.
 The model maps every variable in 1..num_vars to a bool.  Variables above
@@ -101,7 +103,7 @@ class CdclSolver:
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.heap = []
+        self._rebuild_heap()
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.unsat = False
@@ -365,7 +367,6 @@ class CdclSolver:
             if time_budget_s <= 0:
                 return SolveOutcome(UNKNOWN, None, stats)
             deadline = time.monotonic() + time_budget_s
-        self._rebuild_heap()
         restart_limit = 100.0
         conflicts_at_restart = 0
         while True:

@@ -220,6 +220,12 @@ def test_bench_status_says_bounds_for_calls_the_bounds_proved():
     assert dict(zip(header, error_row))["status"] == "error"
 
 
+def test_bench_jobs_pool_gives_the_serial_csv():
+    serial = run_bench("obs-sweep", repeats=1, zero_timing=True, jobs=1)
+    assert run_bench("obs-sweep", repeats=1, zero_timing=True,
+                     jobs=2) == serial
+
+
 def test_exit_codes_for_usage_errors(capsys, tmp_path, chain3_path):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
@@ -266,6 +272,14 @@ def test_exit_codes_for_semantic_errors(capsys, nondet_path, tmp_path):
                str(tmp_path / "x.lp"))[0] == 1
     code, _, _ = run(capsys, "check", "--deterministic", nondet_path)
     assert code == 1
+
+
+def test_gen_negative_seed_writes_a_checkable_filter(capsys, tmp_path):
+    out_path = tmp_path / "neg.flt"
+    code, _, err = run(capsys, "gen", "--seed", "-3", "--out", str(out_path))
+    assert code == 0 and err == ""
+    code, out, _ = run(capsys, "check", "--deterministic", str(out_path))
+    assert code == 0 and out.strip() == "gen_m3: deterministic"
 
 
 def test_gen_failure_reports_semantic_error(capsys):

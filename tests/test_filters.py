@@ -291,9 +291,6 @@ def test_merged_cover_is_a_zipped_partition_between_the_bounds(flt):
                for cls in partition_cover(flt).subsets)
     assert [min(group) for group in groups] == sorted(map(min, groups))
     assert merged_cover(flt).subsets == groups
-    assert merged_cover(flt, pairs).subsets == groups
-    # the pairs prune trials that the color check would fail anyway
-    assert merged_cover(flt, frozenset()).subsets == groups
     assert (len(clique_lower_bound(flt)) <= cover.size
             <= partition_cover(flt).size)
     assert output_simulates(induced_filter(cover), flt).holds

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtermin import (GenParams, GenerationError, generate,
-                       is_deterministic, reachable_states, write_flt)
+                       is_deterministic, parse_flt, reachable_states,
+                       write_flt)
 
 from conftest import canonical_key
 
@@ -62,6 +63,19 @@ def test_reproducible_bytes():
                   seed=123)
     a, b = generate(p), generate(p)
     assert write_flt(a) == write_flt(b)
+
+
+def test_negative_seed_names_a_writable_filter():
+    p = lambda s: GenParams(layers=2, width=2, self_loops=1, back_edges=1,
+                            n_outputs=2, outputs_per_state=1,
+                            n_observations=3, seed=s)
+    # "-" is no .flt token character, so a negative seed spells it "m"
+    assert [generate(p(s)).name for s in (-3, 0, 3)] == [
+        "gen_m3", "gen_0", "gen_3"]
+    flt = generate(p(-3))
+    back = parse_flt(write_flt(flt))
+    assert back.name == "gen_m3"
+    assert write_flt(back) == write_flt(flt)
 
 
 def test_distinct_seeds_usually_differ():

@@ -94,10 +94,9 @@ def test_bounds_bracket_the_oracle_on_the_small_corpus():
 
 def test_one_incompatibility_closure_per_call(gap_unsat, chain3,
                                               monkeypatch):
-    # both bounds read the pairs; minimize computes them once and passes
-    # them on, whether or not the solver runs
+    # only the clique bound reads the pairs, so a call computes them once,
+    # whether or not the solver runs
     filters = importlib.import_module("filtermin.filters")
-    module = importlib.import_module("filtermin.minimize")
     calls = []
 
     def counted(f, incompatible_pairs=filters.incompatible_pairs):
@@ -105,7 +104,6 @@ def test_one_incompatibility_closure_per_call(gap_unsat, chain3,
         return incompatible_pairs(f)
 
     monkeypatch.setattr(filters, "incompatible_pairs", counted)
-    monkeypatch.setattr(module, "incompatible_pairs", counted)
     for flt in (gap_unsat, chain3):
         for method in (METHOD_SAT, METHOD_LAZY):
             calls.clear()

@@ -104,13 +104,6 @@ def test_negative_variable_count_rejected():
         CdclSolver(-2)
 
 
-def test_decision_vars_outside_the_variables_rejected():
-    for bad in (4, -1):
-        with pytest.raises(ValueError, match=r"decision variables must be 0\.\.3"):
-            CdclSolver(3, decision_vars=bad)
-    assert CdclSolver(3, decision_vars=0).solve().status == SAT
-
-
 def test_conflicting_units_unsat():
     s = fresh([[4], [-4]])
     assert s.solve().status == UNSAT
@@ -217,6 +210,24 @@ def assert_heap_invariant(s):
     assert all(v <= s.decision_vars for _, v in entries)
 
 
+def test_heap_invariant_holds_before_the_first_solve():
+    s = CdclSolver(6, seed=3, decision_vars=4)
+    assert_heap_invariant(s)
+    assert sorted(v for _, v in s.heap) == [1, 2, 3, 4]
+    s.add_clause([2])                # a root unit, assigned at once
+    s.add_clause([-2, 5, 6])
+    assert s.values[2] == 1
+    assert_heap_invariant(s)
+    # each solve ends at level 0 with the invariant intact, so the next
+    # solve starts from the same heap
+    assert s.solve().status == SAT
+    assert_heap_invariant(s)
+    s.add_clause([-1, -3])
+    assert s.solve().status == SAT
+    assert_heap_invariant(s)
+    assert CdclSolver(3, decision_vars=0).heap == []
+
+
 def test_rescale_keeps_heap_and_jitter_scaled():
     cls = random_3cnf(60, 250, derive(0x5CA1E, 0))
     s = CdclSolver(num_vars=70, seed=7)
@@ -243,11 +254,14 @@ def test_rescale_keeps_heap_and_jitter_scaled():
 
 
 def test_decision_vars_outside_the_range_rejected():
-    for bad in (-1, 6):
-        with pytest.raises(ValueError, match="decision variables"):
-            CdclSolver(5, decision_vars=bad)
-    assert CdclSolver(5, decision_vars=0).decision_vars == 0
-    assert CdclSolver(5).decision_vars == 5
+    for n, bads in ((3, (4, -1)), (5, (-1, 6))):
+        for bad in bads:
+            with pytest.raises(ValueError,
+                               match=rf"decision variables must be 0\.\.{n}"):
+                CdclSolver(n, decision_vars=bad)
+        assert CdclSolver(n, decision_vars=0).decision_vars == 0
+        assert CdclSolver(n).decision_vars == n
+    assert CdclSolver(3, decision_vars=0).solve().status == SAT
 
 
 def test_unassigned_non_decision_vars_read_true():
