@@ -21,16 +21,19 @@ decision variable starts with a tiny seeded activity, its jitter, that
 breaks equal-activity ties by seed.  The solver keeps one invariant:
 every unassigned decision variable has an entry in the VSIDS heap
 carrying its current activity.  The heap is built once, from every
-decision variable, at construction; backtracking pushes every variable it
-unassigns, and bumps push the new activity.  Each solve ends at level 0,
-so the invariant holds between solves with no rebuild.  Older entries
-go stale and are skipped when popped, so a drained heap means every
-decision variable is assigned.  Stale entries are also dropped in bulk:
-once the heap holds more than twice as many entries as there are decision
-variables, backtracking rebuilds it, as a rescale does.  No rebuild
-changes a pick, since a pick takes the smallest current (-activity, v)
-entry and skips stale ones anyway, and the bulk rebuild bounds the heap
-however long a search runs.
+decision variable, at construction, and backtracking is its one push
+site: it pushes every decision variable it unassigns.  Bumps push
+nothing: conflict analysis bumps only assigned variables, which
+backtracking pushes with their bumped activity.  Each solve ends at
+level 0, so the invariant holds between solves.  Between rebuilds
+activities only grow, so no entry carries more than its variable's
+current activity and the smallest entry naming an unassigned variable
+carries exactly that: a pick skips only assigned variables, and a
+drained heap means every decision variable is assigned.  The heap is
+rebuilt at construction, in backtracking once it holds more than twice
+as many entries as there are decision variables (which bounds it however
+long a search runs), and in a rescale, since scaled activities must not
+be compared against unscaled entries.  No rebuild changes a pick.
 
 A solve answers SAT when the heap is drained and propagation is quiet.
 The model maps every variable in 1..num_vars to a bool.  Variables above
@@ -110,7 +113,6 @@ class CdclSolver:
         self.learnts = []
         self.max_learnts = 30000.0
         self.n_problem = 0
-        self.stats = SolveStats()
 
     # -- storage -------------------------------------------------------------
 
@@ -175,7 +177,6 @@ class CdclSolver:
             return
         bound = self.trail_lim[target_level]
         values = self.values
-        reason = self.reason
         activity = self.activity
         heap = self.heap
         push = heapq.heappush
@@ -184,7 +185,6 @@ class CdclSolver:
             values[lit] = 0
             values[-lit] = 0
             v = lit if lit > 0 else -lit
-            reason[v] = None
             if v <= decision_vars:
                 push(heap, (-activity[v], v))
         del self.trail[bound:]
@@ -241,8 +241,6 @@ class CdclSolver:
         self.activity[v] = act
         if act > _RESCALE_LIMIT:
             self._rescale()
-        elif v <= self.decision_vars:
-            heapq.heappush(self.heap, (-act, v))
 
     def _rescale(self):
         activity = self.activity
@@ -307,12 +305,12 @@ class CdclSolver:
 
     def _pick_branch(self):
         values = self.values
-        activity = self.activity
         heap = self.heap
         while heap:
-            neg_act, v = heapq.heappop(heap)
-            # stale entries carry an out-of-date activity
-            if values[v] == 0 and -neg_act == activity[v]:
+            _, v = heapq.heappop(heap)
+            # entries of assigned variables are stale; an unassigned
+            # variable's smallest entry carries its current activity
+            if values[v] == 0:
                 return v if self.saved_phase[v] else -v
         return None
 

@@ -33,9 +33,9 @@ def model_satisfies(clauses, model):
                for c in clauses)
 
 
-def fresh(clauses):
-    s = CdclSolver(max((abs(l) for c in clauses for l in c), default=0),
-                   seed=7)
+def fresh(clauses, solver=CdclSolver, decision_vars=None):
+    s = solver(max((abs(l) for c in clauses for l in c), default=0),
+               seed=7, decision_vars=decision_vars)
     for c in clauses:
         s.add_clause(c)
     return s
@@ -320,6 +320,49 @@ def test_heap_stays_bounded_on_long_search():
     out = s.solve()
     assert out.status == UNSAT and out.stats.conflicts > 100
     # stale entries are dropped once they outnumber twice the decision
-    # variables: without that this run ends with thousands of entries
+    # variables: without that this run ends with 1859 entries, where
+    # the bound is 60
     bound = 2 * s.decision_vars
     assert s.max_heap <= bound and len(s.heap) <= bound
+
+
+class PickWatch(CdclSolver):
+    """Asserts that each pick is the most active unassigned decision
+    variable, ties to the smaller index, and that only assigned variables
+    are bumped."""
+
+    picks = 0
+
+    def _pick_branch(self):
+        free = [v for v in range(1, self.decision_vars + 1)
+                if self.values[v] == 0]
+        want = min(free, key=lambda v: (-self.activity[v], v), default=None)
+        lit = super()._pick_branch()
+        assert (None if lit is None else abs(lit)) == want
+        self.picks += 1
+        return lit
+
+    def _bump_var(self, v):
+        assert self.values[v] != 0
+        super()._bump_var(v)
+
+
+def test_each_pick_is_the_most_active_unassigned_decision_var():
+    assert fresh(php_clauses(6, 5), PickWatch).solve().status == UNSAT
+    # the last pigeon's row is never decided, only propagated
+    s = fresh(php_clauses(7, 6), PickWatch, decision_vars=36)
+    assert s.solve().status == UNSAT and s.picks > 500
+    # incremental: each solve starts from the heap the last one left, and
+    # bans the model before the next
+    cls = random_3cnf(60, 250, derive(0x91C5, 0))
+    s = fresh(cls, PickWatch)
+    for _ in range(3):
+        out = s.solve()
+        assert out.status == SAT and model_satisfies(cls, out.model)
+        s.add_clause([-v if val else v for v, val in out.model.items()])
+    assert s.picks > 100
+    # a rescale in the middle of conflict analysis; without its rebuild,
+    # unscaled entries would outrank the variables bumped since
+    s = fresh(cls, PickWatch)
+    s.var_inc = 1e98
+    assert s.solve().status == SAT and s.var_inc < 1e98
