@@ -153,12 +153,12 @@ def build_layout(flt: Filter, k: int) -> VarLayout:
 class CnfFormula:
     """A CNF formula over the CNF variables of one layout.
 
-    `clauses` are lists of signed variable ids, none above `num_vars`.
-    Which schema emitted a clause is not recorded: `build_cnf` documents
-    the order, and the schema functions below regenerate any part of it.
+    `clauses` are lists of signed variable ids, none above the layout's
+    `num_cnf_vars`.  Which schema emitted a clause is not recorded:
+    `build_cnf` documents the order, and the schema functions below
+    regenerate any part of it.
     """
 
-    num_vars: int
     clauses: list
 
     def __len__(self):
@@ -234,7 +234,7 @@ def build_cnf(layout: VarLayout, lazy: bool = False) -> CnfFormula:
             clauses += zip2_clauses_for_obs(layout, y)
     clauses += out1_clauses(layout)
     clauses += out2_clauses(layout)
-    return CnfFormula(layout.num_cnf_vars, clauses)
+    return CnfFormula(clauses)
 
 
 def ban_size_units(layout: VarLayout, k_banned: int):
@@ -395,7 +395,7 @@ def eval_ilp(layout: VarLayout, asg) -> FeasibilityReport:
     read as 0.  A family holds when all its rows do, and trivially when it
     has none (Sym at k = 1).
     """
-    value = {"_".join(map(str, layout.decode(var))): int(asg.get(var, False))
+    value = {_lp_name(layout, var): int(asg.get(var, False))
              for var in range(1, layout.num_vars + 1)}
 
     def lhs(terms):
@@ -418,6 +418,11 @@ def eval_ilp(layout: VarLayout, asg) -> FeasibilityReport:
 
 # ---------------------------------------------------------------------------
 # LP export
+
+def _lp_name(layout: VarLayout, var):
+    """The LP name of variable id `var`: its `decode` parts joined by '_'."""
+    return "_".join(map(str, layout.decode(var)))
+
 
 def write_lp(layout: VarLayout) -> str:
     """Render the linear rows as an LP-format file with binary variables.
@@ -457,17 +462,7 @@ def write_lp(layout: VarLayout) -> str:
         w(f" Out2_{i}: " +
           " + ".join(f"b_{i}_{o}" for o in layout.cols) + " >= 1\n")
     w("Binary\n")
-    for i in range(1, k + 1):
-        for v in range(n):
-            w(f" R_{i}_{v}\n")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for y in layout.obs:
-                w(f" a_{i}_{j}_{y}\n")
-    for i in range(1, k + 1):
-        for o in layout.cols:
-            w(f" b_{i}_{o}\n")
-    for i in range(1, k + 1):
-        w(f" q_{i}\n")
+    for var in range(1, layout.num_vars + 1):
+        w(f" {_lp_name(layout, var)}\n")
     w("End\n")
     return buf.getvalue()

@@ -14,12 +14,17 @@ Tokens (names, observation labels, colors) match [A-Za-z0-9_]+, and
 counts and state ids match [0-9]+.  Every state needs exactly one `out`
 line listing its colors; `initial` may repeat for multiple initial
 states; `trans src label dst` declares one labelled edge and may not
-repeat verbatim.  Parse errors carry the 1-based line number.
+repeat verbatim.  Parse errors carry the 1-based line number.  Both
+readers, this one and `parse_dimacs`, end a line only at \\n, \\r\\n or
+\\r.
 
 Writing is canonical: initial lines ascending, out lines in state order
 with colors in declared-alphabet order, trans lines sorted by (src,
-label, dst).  Writing a parsed file reproduces it byte for byte once it
-is in canonical form, and write-parse-write is always a fixed point.
+label, dst).  The file does not carry the declared alphabets: a parse
+orders colors and observations by first appearance, which may differ
+from the written filter's order (and so from its variable numbering).
+From one parse on, write and parse are byte-stable: writing a parsed
+file reproduces it once it is in canonical form.
 """
 from __future__ import annotations
 
@@ -33,6 +38,8 @@ from .minimize import MinimizeReport
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 _NUMBER = re.compile(r"[0-9]+\Z")   # str.isdigit also takes '²', int() does not
 _INTEGER = re.compile(r"-?[0-9]+\Z")  # int() also takes '١', '1_0' and '+1'
+# str.splitlines also ends lines at \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029
+_LINE_END = re.compile(r"\r\n?|\n")
 
 STATS_HEADER = "method,k,outcome,elapsed_ms,clauses_in_solver,best_size_so_far"
 
@@ -52,6 +59,11 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _lines(text: str):
+    """The lines of `text`, ended only by \\n, \\r\\n or \\r."""
+    return _LINE_END.split(text)
+
+
 def _check_token(tok, line, what):
     if not _TOKEN.match(tok):
         raise FltError(f"bad {what} token {tok!r}", line)
@@ -66,7 +78,7 @@ def parse_flt(text: str) -> Filter:
     trans = []
     seen_trans = set()
     col_order = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -140,8 +152,13 @@ def parse_flt(text: str) -> Filter:
 
 
 def write_flt(flt: Filter) -> str:
-    if not _TOKEN.match(flt.name):
-        raise ValueError(f"filter name {flt.name!r} not writable")
+    """Canonical .flt text; ValueError for a token `parse_flt` cannot read."""
+    for what, tokens in (("filter name", (flt.name,)),
+                         ("observation", flt.observations),
+                         ("color", flt.colors)):
+        for tok in tokens:
+            if not _TOKEN.match(tok):
+                raise ValueError(f"{what} {tok!r} not writable")
     col_pos = {c: i for i, c in enumerate(flt.colors)}
     buf = io.StringIO()
     buf.write(f"filter {flt.name}\n")
@@ -180,7 +197,7 @@ def parse_dimacs(text: str):
     n_clauses = None
     clauses = []
     pending = []
-    for raw in text.splitlines():
+    for raw in _lines(text):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -368,6 +368,9 @@ class CdclSolver:
         restart_limit = 100.0
         conflicts_at_restart = 0
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                self._backtrack(0)
+                return SolveOutcome(UNKNOWN, None, stats)
             confl = self._propagate()
             if confl is not None:
                 stats.conflicts += 1
@@ -385,9 +388,6 @@ class CdclSolver:
                     self._assign(learnt[0], learnt)
                 stats.learned += 1
                 self.var_inc /= self.var_decay
-                if deadline is not None and time.monotonic() > deadline:
-                    self._backtrack(0)
-                    return SolveOutcome(UNKNOWN, None, stats)
                 if stats.conflicts - conflicts_at_restart >= restart_limit:
                     conflicts_at_restart = stats.conflicts
                     restart_limit *= 1.5
@@ -396,9 +396,6 @@ class CdclSolver:
                 if len(self.learnts) > self.max_learnts:
                     self._reduce_learnts()
             else:
-                if deadline is not None and time.monotonic() > deadline:
-                    self._backtrack(0)
-                    return SolveOutcome(UNKNOWN, None, stats)
                 lit = self._pick_branch()
                 if lit is None:
                     values = self.values

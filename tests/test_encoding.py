@@ -174,7 +174,7 @@ def descent_models(flt, lazy):
     lay = build_layout(flt, flt.n_states)
     solver = CdclSolver(lay.num_cnf_vars, seed=3,
                         decision_vars=lay.n_cover_vars)
-    loaded = CnfFormula(lay.num_cnf_vars, [])
+    loaded = CnfFormula([])
     obs, pairs = set(), set()
 
     def load(clauses):
@@ -336,6 +336,17 @@ def test_chain3_k3_lp_shape(chain3):
     assert " ValidCover: R_1_0 + R_2_0 + R_3_0 >= 1\n" in lp
     assert " Sym_2: q_2 - q_1 <= 0\n" in lp
     assert lp.rstrip().endswith("End")
+
+
+def test_twocolor_lp_binary_section_in_block_order(twocolor):
+    lp = write_lp(build_layout(twocolor, 2))
+    binary = lp.split("Binary\n", 1)[1].split()
+    assert binary == [
+        "R_1_0", "R_1_1", "R_1_2", "R_1_3", "R_2_0", "R_2_1", "R_2_2", "R_2_3",
+        "a_1_1_a", "a_1_1_b", "a_1_2_a", "a_1_2_b",
+        "a_2_1_a", "a_2_1_b", "a_2_2_a", "a_2_2_b",
+        "b_1_g", "b_1_r", "b_2_g", "b_2_r",
+        "q_1", "q_2", "End"]
 
 
 def test_twocolor_lp_folds_constants(twocolor):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from filtermin import (Budget, FltError, METHOD_SAT, STATS_HEADER,
+from filtermin import (Budget, Filter, FltError, METHOD_SAT, STATS_HEADER,
                        build_layout, minimize, parse_dimacs, parse_flt,
                        write_dimacs, write_flt, write_stats_csv, write_varmap)
 
@@ -101,6 +101,36 @@ def test_write_rejects_unprintable_name(chain3):
         write_flt(replace(chain3, name="has space"))
 
 
+@pytest.mark.parametrize("edge,colors,fragment", [
+    # written as 'trans 0 go left 1', which the reader rejects
+    ((0, "go left", 1), ["red"], "observation 'go left'"),
+    # written as 'out 1 red x#y', which reads back as the colors {red, x}
+    ((0, "go", 1), ["red", "x#y"], "color 'x#y'"),
+])
+def test_write_rejects_tokens_the_reader_cannot_read_back(edge, colors,
+                                                           fragment):
+    flt = Filter.build(2, [0], [edge], [["red"], colors])
+    with pytest.raises(ValueError, match=f"{fragment} not writable"):
+        write_flt(flt)
+
+
+def test_flt_comment_ends_only_at_a_newline():
+    # str.splitlines would end the comment at the form feed
+    flt = parse_flt("states 2\ninitial 0\nout 0 g\nout 1 g\n"
+                    "# note\x0ctrans 0 go 1\n")
+    assert flt.succ == {}
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_error_line_counts_only_line_ends(eol):
+    # the vertical tab on line 2 does not start a line
+    text = eol.join(["states 1", "# tab\x0b", "initial 0", "out 0 g",
+                     "spin 0"])
+    with pytest.raises(FltError, match="line 5: unknown directive") as err:
+        parse_flt(text)
+    assert err.value.line == 5
+
+
 # -- dimacs --------------------------------------------------------------------
 
 def test_dimacs_round_trip():
@@ -108,6 +138,11 @@ def test_dimacs_round_trip():
     text = write_dimacs(4, clauses)
     assert text.splitlines()[0] == "p cnf 4 3"
     assert parse_dimacs(text) == (4, clauses)
+
+
+def test_dimacs_comment_ends_only_at_a_newline():
+    # str.splitlines would end the comment at the \x85 and read "1 0"
+    assert parse_dimacs("p cnf 1 0\nc note\x851 0\n") == (1, [])
 
 
 def test_dimacs_accepts_comments_and_multiline_clauses():

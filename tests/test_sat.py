@@ -75,6 +75,16 @@ def test_zero_budget_returns_unknown():
     assert s.solve().status == UNSAT
 
 
+def test_budget_cut_search_returns_at_the_root():
+    # php(7,6) takes about 0.1 s to refute, far past this budget
+    s = fresh(php_clauses(7, 6))
+    out = s.solve(time_budget_s=0.005)
+    assert out.status == UNKNOWN and out.model is None
+    assert s.trail_lim == []
+    assert_heap_invariant(s)
+    assert s.solve().status == UNSAT
+
+
 def test_nan_budget_raises_instead_of_running_unbounded():
     # 10 pigeons in 9 holes is far too hard to settle in 0.3 s
     s = fresh(php_clauses(10, 9))
