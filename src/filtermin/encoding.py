@@ -59,7 +59,7 @@ class VarLayout:
         self._a_base = k * self.n
         self._b_base = self._a_base + k * k * len(self.obs)
         self._q_base = self._b_base + k * len(self.cols)
-        # live (state, observation) pairs, ordered by (state, declared obs order)
+        # live (state, observation) pairs, ordered by (state, alphabet order)
         self.live_edges = tuple(sorted(
             flt.succ, key=lambda e: (e[0], self._obs_pos[e[1]])))
         # (state, color) pairs the state does NOT carry, same ordering idea
@@ -265,7 +265,7 @@ def extension_from_cover(layout: VarLayout, cover: Cover) -> dict:
     rows of the integer renderings expect).  a-variables are set exactly
     where children containment holds; slots with no y-children point their
     witness at slot 1.  b-variables follow common outputs; empty slots
-    claim the first declared color.  q marks non-empty slots.
+    claim the alphabet's first color.  q marks non-empty slots.
     """
     flt = layout.filter
     groups = [g for g in cover.subsets if g]

@@ -37,6 +37,12 @@ NONDETERMINISTIC = "nondeterministic"
 COLOR_ESCAPE = "color-escape"
 
 
+def shortlex(token):
+    """Sort key of the canonical alphabet order: shorter first, then by
+    character, so y2 precedes y10."""
+    return (len(token), token)
+
+
 @dataclass(frozen=True, eq=False)
 class Filter:
     """A finite observation-labelled transition system with colored states.
@@ -44,9 +50,9 @@ class Filter:
     States are dense ints 0..n_states-1.  `succ`, the one edge table, maps
     a (state, observation) pair to the sorted tuple of its successor states;
     a pair with no edge is absent.  `coloring` gives every state its
-    non-empty color set.  `observations` and `colors` fix the declared
-    alphabets and their order (the order is load-bearing: variable
-    numbering and canonical serialization follow it).
+    non-empty color set.  `observations` and `colors` are the alphabets,
+    stored in shortlex order (`shortlex`) however they were given, so
+    variable numbering and serialization depend only on the tokens.
     """
 
     n_states: int
@@ -66,8 +72,8 @@ class Filter:
             raise ValueError("a filter needs at least one initial state")
         if not self.initial <= set(states):
             raise ValueError("initial state out of range")
-        obs = tuple(self.observations)
-        cols = tuple(self.colors)
+        obs = tuple(sorted(self.observations, key=shortlex))
+        cols = tuple(sorted(self.colors, key=shortlex))
         if len(set(obs)) != len(obs) or len(set(cols)) != len(cols):
             raise ValueError("duplicate token in alphabet")
         object.__setattr__(self, "observations", obs)
@@ -102,27 +108,20 @@ class Filter:
               colors=None, name="filter"):
         """Convenience constructor from (src, obs, dst) triples.
 
-        Alphabets default to first-appearance order: edge list order for
-        observations, state order for colors.  `coloring` may be a dict
-        keyed by state or a sequence indexed by state.
+        Alphabets default to the observations the edges use and the colors
+        the states carry; pass them to declare unused tokens too.
+        `coloring` may be a dict keyed by state or a sequence indexed by
+        state.
         """
         if not isinstance(coloring, dict):
             coloring = {v: cs for v, cs in enumerate(coloring)}
         succ = {}
-        seen_obs = []
         for src, y, dst in edges:
             succ.setdefault((src, y), set()).add(dst)
-            if y not in seen_obs:
-                seen_obs.append(y)
         if observations is None:
-            observations = tuple(seen_obs)
+            observations = {y for _, y in succ}
         if colors is None:
-            seen_cols = []
-            for v in range(n_states):
-                for c in sorted(coloring.get(v, ())):
-                    if c not in seen_cols:
-                        seen_cols.append(c)
-            colors = tuple(seen_cols)
+            colors = set().union(*coloring.values())
         return cls(n_states=n_states, initial=frozenset(initial),
                    observations=observations, succ=succ,
                    colors=colors, coloring=dict(coloring), name=name)
@@ -317,8 +316,8 @@ def common_outputs(f: Filter, group) -> frozenset:
 def find_zip_violation(cover: Cover):
     """First (subset index, observation) whose children fit in no subset.
 
-    "First" is lowest subset index, then declared observation order; None
-    when the cover is zipped.
+    "First" is lowest subset index, then the alphabet's shortlex order;
+    None when the cover is zipped.
     """
     f = cover.over
     subsets = cover.subsets

@@ -19,12 +19,11 @@ readers, this one and `parse_dimacs`, end a line only at \\n, \\r\\n or
 \\r.
 
 Writing is canonical: initial lines ascending, out lines in state order
-with colors in declared-alphabet order, trans lines sorted by (src,
-label, dst).  The file does not carry the declared alphabets: a parse
-orders colors and observations by first appearance, which may differ
-from the written filter's order (and so from its variable numbering).
-From one parse on, write and parse are byte-stable: writing a parsed
-file reproduces it once it is in canonical form.
+with colors in shortlex order, trans lines sorted by (src, label, dst).
+A file carries only the colors and observations its lines use; a parse
+takes those as the alphabets, which `Filter` keeps in shortlex order, so
+a filter without unused tokens reads back with the same variable
+numbering.  Writing a parsed canonical file reproduces it byte for byte.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ import io
 import re
 from typing import Optional
 
-from .filters import Filter
+from .filters import Filter, shortlex
 from .minimize import MinimizeReport
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -77,7 +76,6 @@ def parse_flt(text: str) -> Filter:
     outs = {}
     trans = []
     seen_trans = set()
-    col_order = []
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,9 +108,6 @@ def parse_flt(text: str) -> Filter:
             if len(set(cols)) != len(cols):
                 raise FltError(f"repeated color for state {v}", lineno)
             outs[v] = (cols, lineno)
-            for c in cols:
-                if c not in col_order:
-                    col_order.append(c)
         elif directive == "trans":
             if (len(args) != 3 or not _NUMBER.match(args[0])
                     or not _NUMBER.match(args[2])):
@@ -143,12 +138,11 @@ def parse_flt(text: str) -> Filter:
             if not 0 <= end < n_states:
                 raise FltError(f"transition mentions unknown state {end}",
                                lineno)
-    # observations default to first appearance in trans-line order
     return Filter.build(
         n_states, (v for v, _ in initial),
         [(src, y, dst) for src, y, dst, _ in trans],
         {v: cols for v, (cols, _) in outs.items()},
-        colors=tuple(col_order), name=name if name is not None else "filter")
+        name=name if name is not None else "filter")
 
 
 def write_flt(flt: Filter) -> str:
@@ -159,14 +153,13 @@ def write_flt(flt: Filter) -> str:
         for tok in tokens:
             if not _TOKEN.match(tok):
                 raise ValueError(f"{what} {tok!r} not writable")
-    col_pos = {c: i for i, c in enumerate(flt.colors)}
     buf = io.StringIO()
     buf.write(f"filter {flt.name}\n")
     buf.write(f"states {flt.n_states}\n")
     for v in sorted(flt.initial):
         buf.write(f"initial {v}\n")
     for v in range(flt.n_states):
-        cols = sorted(flt.coloring[v], key=col_pos.__getitem__)
+        cols = sorted(flt.coloring[v], key=shortlex)
         buf.write(f"out {v} {' '.join(cols)}\n")
     rows = sorted((src, y, dst) for (src, y), dsts in flt.succ.items()
                   for dst in dsts)

@@ -94,13 +94,9 @@ def _attempt(params: GenParams, rng: SplitMix64):
         y = rng.choice(unused[src])
         unused[src].remove(y)
         labelled.append((src, y, dst))
-    used_obs = {y for _, y, _ in labelled}
-    used_cols = {o for cs in coloring.values() for o in cs}
     # a .flt name takes no "-", so a negative seed is spelled with "m"
     return Filter.build(
         n_states=n, initial=[0], edges=labelled, coloring=coloring,
-        observations=tuple(y for y in obs_pool if y in used_obs),
-        colors=tuple(o for o in out_pool if o in used_cols),
         name=f"gen_{params.seed}".replace("-", "m"))
 
 

@@ -57,6 +57,20 @@ def test_colors_per_state():
     assert len(flt.colors) == 4
 
 
+def test_alphabets_are_the_used_tokens_in_index_order():
+    # shortlex keeps y2 before y10, so a 50-token formula numbers its
+    # variables as the token pool does
+    flt = generate(GenParams(layers=4, width=3, self_loops=2, back_edges=2,
+                             n_outputs=12, outputs_per_state=2,
+                             n_observations=12, seed=1))
+    used_obs = {y for _, y in flt.succ}
+    used_cols = set().union(*flt.coloring.values())
+    assert {"y2", "y10"} <= used_obs and {"o2", "o10"} <= used_cols
+    index = lambda token: int(token[1:])
+    assert flt.observations == tuple(sorted(used_obs, key=index))
+    assert flt.colors == tuple(sorted(used_cols, key=index))
+
+
 def test_reproducible_bytes():
     p = GenParams(layers=3, width=2, self_loops=1, back_edges=2,
                   n_outputs=2, outputs_per_state=1, n_observations=4,
