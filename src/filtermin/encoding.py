@@ -6,8 +6,9 @@ observation-children fit inside some subset), and each share a common
 output.  This module renders that search three ways over one shared
 variable layout:
 
-* CNF clauses for the SAT engine (with an optional lazy variant that
-  withholds the zip constraints for just-in-time loading),
+* CNF clauses for the SAT engine, in groups: per state a cover clause and
+  OUT1 rows, per live edge ZIP1, per observation ZIP2, and OUT2; only
+  `build_cnf` picks the groups that load up front (lazy withholds zip),
 * linear rows exported in LP format,
 * product-form integer constraints evaluated directly on an assignment.
 
@@ -19,8 +20,8 @@ dropped and constant literals never appear.
 
 The CNF can be solved by branching on the R block alone.  Only two schemas
 hold a negative a or b literal: ZIP1 `[-a, -R, R']` and OUT1 `[-b, -R]`.
-ZIP2 and OUT2 hold only positive a/b literals, and valid-cover clauses and
-size bans hold only R literals.  So once every R variable is assigned and
+ZIP2 and OUT2 hold only positive a/b literals, and cover clauses and size
+bans hold only R literals.  So once every R variable is assigned and
 unit propagation is quiet, each ZIP1 and OUT1 clause is either satisfied
 by its R literals or has already forced its a/b literal false, and setting
 every still unassigned a/b variable true satisfies ZIP2 and OUT2 as well.
@@ -165,15 +166,9 @@ class CnfFormula:
         return len(self.clauses)
 
 
-def valid_cover_clauses(layout: VarLayout, lazy: bool):
-    """Eager: the initial state sits in some subset.  Lazy: every state does
-    (the zip clauses that would otherwise force coverage are withheld)."""
-    k, n = layout.k, layout.n
-    if lazy:
-        states = range(n)
-    else:
-        states = [next(iter(layout.filter.initial))]
-    return [[layout.r_index(i, v) for i in range(1, k + 1)] for v in states]
+def cover_clause(layout: VarLayout, v):
+    """State v sits in some subset."""
+    return [layout.r_index(i, v) for i in range(1, layout.k + 1)]
 
 
 def zip1_clauses_for_state(layout: VarLayout, v, y):
@@ -204,13 +199,12 @@ def zip2_clauses_for_obs(layout: VarLayout, y):
             for i in range(1, k + 1)]
 
 
-def out1_clauses(layout: VarLayout):
-    """A subset claiming an output cannot contain a state lacking it."""
-    out = []
-    for i in range(1, layout.k + 1):
-        for v, o in layout.zero_outputs:
-            out.append([-layout.b_index(i, o), -layout.r_index(i, v)])
-    return out
+def out1_clauses_for_state(layout: VarLayout, v):
+    """A subset claiming a color that state v lacks cannot contain v: one
+    row per subset and missing color, subset-major."""
+    lacks = [o for o in layout.cols if o not in layout.filter.coloring[v]]
+    return [[-layout.b_index(i, o), -layout.r_index(i, v)]
+            for i in range(1, layout.k + 1) for o in lacks]
 
 
 def out2_clauses(layout: VarLayout):
@@ -222,17 +216,23 @@ def out2_clauses(layout: VarLayout):
 def build_cnf(layout: VarLayout, lazy: bool = False) -> CnfFormula:
     """Render the full CNF, or the lazy base with the zip clauses withheld.
 
-    Clauses come schema by schema: valid cover, then (eager only) ZIP1 per
-    live edge in `layout.live_edges` order and ZIP2 per observation in
-    `layout.obs` order, then OUT1 and OUT2.
+    Eager: the initial state's cover clause, then ZIP1 per live edge in
+    `layout.live_edges` order and ZIP2 per observation in `layout.obs`
+    order.  Lazy: every state's cover clause.  Then OUT1 state by state,
+    and OUT2.  A solver visits each watch list in load order, and ZIP1 and
+    OUT1 both watch negated R literals, so eager keeps its zip clauses
+    ahead of OUT1: the other order changes the search.
     """
-    clauses = valid_cover_clauses(layout, lazy)
-    if not lazy:
+    if lazy:
+        clauses = [cover_clause(layout, v) for v in range(layout.n)]
+    else:
+        clauses = [cover_clause(layout, next(iter(layout.filter.initial)))]
         for v, y in layout.live_edges:
             clauses += zip1_clauses_for_state(layout, v, y)
         for y in layout.obs:
             clauses += zip2_clauses_for_obs(layout, y)
-    clauses += out1_clauses(layout)
+    for v in range(layout.n):
+        clauses += out1_clauses_for_state(layout, v)
     clauses += out2_clauses(layout)
     return CnfFormula(clauses)
 

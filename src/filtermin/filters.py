@@ -313,22 +313,26 @@ def common_outputs(f: Filter, group) -> frozenset:
     return frozenset(out)
 
 
+def zip_routes(f: Filter, groups):
+    """Yield (i, y, j) for each group i and observation y under which group
+    i has children, in that order, where j is the lowest-indexed group
+    holding all those children, or None when no group does."""
+    for i, group in enumerate(groups):
+        for y in f.observations:
+            ch = children_of_set(f, group, y)
+            if ch:
+                yield i, y, next((j for j, other in enumerate(groups)
+                                  if ch <= other), None)
+
+
 def find_zip_violation(cover: Cover):
     """First (subset index, observation) whose children fit in no subset.
 
     "First" is lowest subset index, then the alphabet's shortlex order;
     None when the cover is zipped.
     """
-    f = cover.over
-    subsets = cover.subsets
-    for i, group in enumerate(subsets):
-        if not group:
-            continue
-        for y in f.observations:
-            ch = children_of_set(f, group, y)
-            if ch and not any(ch <= other for other in subsets):
-                return (i, y)
-    return None
+    return next(((i, y) for i, y, j in zip_routes(cover.over, cover.subsets)
+                 if j is None), None)
 
 
 def is_zipped(cover: Cover) -> bool:
@@ -339,9 +343,9 @@ def induced_filter(cover: Cover) -> Filter:
     """Collapse a valid zipped cover into a filter with one state per subset.
 
     Ties resolve deterministically: each edge enters the lowest-indexed
-    subset containing all children, the initial state is the lowest-indexed
-    subset containing the original initial state, and each state is colored
-    with the lexicographically smallest common output of its subset.
+    subset containing all children (`zip_routes`), the initial state is the
+    lowest-indexed subset containing the original initial state, and each
+    state is colored with its subset's first common output in `f.colors`.
     """
     f = cover.over
     if len(f.initial) != 1:
@@ -358,17 +362,12 @@ def induced_filter(cover: Cover) -> Filter:
         shared = common_outputs(f, group)
         if not shared:
             raise ValueError(f"subset {i} has no common output")
-        coloring[i] = frozenset({min(shared)})
+        coloring[i] = frozenset({next(o for o in f.colors if o in shared)})
     succ = {}
-    for i, group in enumerate(groups):
-        for y in f.observations:
-            ch = children_of_set(f, group, y)
-            if not ch:
-                continue
-            j = next((jj for jj, other in enumerate(groups) if ch <= other), None)
-            if j is None:
-                raise ValueError(f"cover is not zipped at subset {i} on {y!r}")
-            succ[(i, y)] = (j,)
+    for i, y, j in zip_routes(f, groups):
+        if j is None:
+            raise ValueError(f"cover is not zipped at subset {i} on {y!r}")
+        succ[(i, y)] = (j,)
     return Filter(n_states=len(groups), initial=frozenset({init_idx}),
                   observations=f.observations, succ=succ,
                   colors=f.colors, coloring=coloring,

@@ -19,7 +19,7 @@ readers, this one and `parse_dimacs`, end a line only at \\n, \\r\\n or
 \\r.
 
 Writing is canonical: initial lines ascending, out lines in state order
-with colors in shortlex order, trans lines sorted by (src, label, dst).
+with colors in shortlex order, trans lines by src, shortlex label, dst.
 A file carries only the colors and observations its lines use; a parse
 takes those as the alphabets, which `Filter` keeps in shortlex order, so
 a filter without unused tokens reads back with the same variable
@@ -161,10 +161,10 @@ def write_flt(flt: Filter) -> str:
     for v in range(flt.n_states):
         cols = sorted(flt.coloring[v], key=shortlex)
         buf.write(f"out {v} {' '.join(cols)}\n")
-    rows = sorted((src, y, dst) for (src, y), dsts in flt.succ.items()
-                  for dst in dsts)
-    for src, y, dst in rows:
-        buf.write(f"trans {src} {y} {dst}\n")
+    edges = sorted(flt.succ.items(), key=lambda e: (e[0][0], shortlex(e[0][1])))
+    for (src, y), dsts in edges:
+        for dst in dsts:                # sorted by `Filter`
+            buf.write(f"trans {src} {y} {dst}\n")
     return buf.getvalue()
 
 

@@ -148,19 +148,20 @@ def test_export_dimacs_and_varmap(tmp_path, capsys, twocolor, twocolor_path):
     assert len(map_path.read_text().splitlines()) == lay.num_cnf_vars
 
 
-def test_export_of_a_generated_file_is_the_library_formula(tmp_path,
-                                                           capsys):
+@pytest.mark.parametrize("lazy", [False, True])
+def test_export_of_a_generated_file_is_the_library_formula(tmp_path, capsys,
+                                                           lazy):
     # the .flt file carries no alphabet order; both sides sort it the same
     flt_path, cnf_path = tmp_path / "g.flt", tmp_path / "g.cnf"
     assert run(capsys, "gen", "--seed", "1", "--observations", "12",
                "--out", str(flt_path))[0] == 0
     assert run(capsys, "export", str(flt_path), "--k", "3",
-               "--dimacs", str(cnf_path))[0] == 0
+               "--dimacs", str(cnf_path), *(["--lazy"] if lazy else []))[0] == 0
     lay = build_layout(generate(GenParams(
         layers=4, width=3, self_loops=2, back_edges=2, n_outputs=5,
         outputs_per_state=2, n_observations=12, seed=1)), 3)
-    assert cnf_path.read_text() == write_dimacs(lay.num_cnf_vars,
-                                                build_cnf(lay).clauses)
+    assert cnf_path.read_text() == write_dimacs(
+        lay.num_cnf_vars, build_cnf(lay, lazy=lazy).clauses)
 
 
 def test_export_lazy_is_smaller(tmp_path, capsys, twocolor_path):

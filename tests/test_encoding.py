@@ -8,8 +8,8 @@ from filtermin import (SAT, UNSAT, CdclSolver, CnfFormula, Cover, GenParams,
                        extension_from_cover, find_zip_violation, generate,
                        write_lp)
 from filtermin.bench import MEDIUM_SHAPE
-from filtermin.encoding import (out1_clauses, out2_clauses,
-                                valid_cover_clauses, zip1_clauses_for_state,
+from filtermin.encoding import (cover_clause, out1_clauses_for_state,
+                                out2_clauses, zip1_clauses_for_state,
                                 zip2_clauses_for_obs)
 from filtermin.rng import derive
 
@@ -106,23 +106,35 @@ def test_chain3_clause_counts(chain3):
 
 def test_twocolor_k2_clause_counts_by_schema(twocolor):
     lay = build_layout(twocolor, 2)
-    assert len(build_cnf(lay)) == 35
-    assert len(valid_cover_clauses(lay, lazy=False)) == 1
+    cnf = build_cnf(lay)
+    states = range(twocolor.n_states)
+    assert len(cnf) == 35
+    assert sum(cover_clause(lay, v) in cnf.clauses for v in states) == 1
     assert sum(len(zip1_clauses_for_state(lay, v, y))
                for v, y in lay.live_edges) == 20
     assert sum(len(zip2_clauses_for_obs(lay, y)) for y in lay.obs) == 4
-    assert len(out1_clauses(lay)) == 8
+    assert sum(len(out1_clauses_for_state(lay, v)) for v in states) == 8
     assert len(out2_clauses(lay)) == 2
+
+
+def test_state_groups_hand_values(twocolor):
+    # state 1 carries r only, so it lacks g (b_1_g = 17, b_2_g = 19)
+    lay = build_layout(twocolor, 2)
+    assert cover_clause(lay, 1) == [2, 6]
+    assert out1_clauses_for_state(lay, 1) == [[-17, -2], [-19, -6]]
+    assert out1_clauses_for_state(lay, 0) == [[-18, -1], [-20, -5]]
 
 
 def test_eager_clause_order(twocolor):
     lay = build_layout(twocolor, 2)
     zip1 = [zip1_clauses_for_state(lay, v, y) for v, y in lay.live_edges]
     zip2 = [zip2_clauses_for_obs(lay, y) for y in lay.obs]
-    expected = valid_cover_clauses(lay, lazy=False)
+    expected = [cover_clause(lay, 0)]
     for block in zip1 + zip2:
         expected += block
-    expected += out1_clauses(lay) + out2_clauses(lay)
+    for v in range(twocolor.n_states):
+        expected += out1_clauses_for_state(lay, v)
+    expected += out2_clauses(lay)
     assert build_cnf(lay).clauses == expected
     # zip1 blocks are grouped per live edge, (state, obs) major
     assert lay.live_edges[:2] == ((0, "a"), (0, "b"))
@@ -134,12 +146,13 @@ def test_eager_clause_order(twocolor):
 def test_lazy_base_has_per_state_cover_clauses(twocolor):
     lay = build_layout(twocolor, 2)
     lazy = build_cnf(lay, lazy=True)
-    cover_clauses = valid_cover_clauses(lay, lazy=True)
-    assert len(cover_clauses) == twocolor.n_states
-    assert cover_clauses[0] == [lay.r_index(1, 0), lay.r_index(2, 0)]
+    states = range(twocolor.n_states)
+    expected = [cover_clause(lay, v) for v in states]
+    assert expected[0] == [lay.r_index(1, 0), lay.r_index(2, 0)]
     # no zip clause in the lazy base
-    assert lazy.clauses == (cover_clauses + out1_clauses(lay)
-                            + out2_clauses(lay))
+    for v in states:
+        expected += out1_clauses_for_state(lay, v)
+    assert lazy.clauses == expected + out2_clauses(lay)
 
 
 def test_self_loop_zip1_contains_tautology(chain3):

@@ -173,6 +173,13 @@ def test_induced_filter_structure(twocolor):
     assert output_simulates(g, twocolor).holds
 
 
+def test_induced_filter_colors_by_alphabet_order():
+    # shortlex puts o2 before o10; plain string order would pick o10
+    f = Filter.build(1, [0], [(0, "a", 0)], [["o2", "o10"]])
+    g = induced_filter(Cover((frozenset({0}),), f))
+    assert g.coloring[0] == frozenset({"o2"})
+
+
 def test_induced_filter_rejects_bad_covers(twocolor):
     with pytest.raises(ValueError, match="not cover"):
         induced_filter(Cover((frozenset({0}),), twocolor))

@@ -50,6 +50,13 @@ def test_canonical_ordering():
     assert lines[6:] == ["trans 0 a 1", "trans 0 b 1", "trans 1 z 0"]
 
 
+def test_trans_lines_sort_labels_shortlex():
+    flt = Filter.build(3, [0], [(0, "y10", 2), (0, "y2", 1)],
+                       [["g"], ["g"], ["g"]])
+    lines = write_flt(flt).splitlines()
+    assert lines[-2:] == ["trans 0 y2 1", "trans 0 y10 2"]
+
+
 def test_comments_and_blanks_ignored():
     flt = parse_flt(
         "# header comment\n\nfilter f # trailing\nstates 1\n"
